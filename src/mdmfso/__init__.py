@@ -19,6 +19,7 @@ from .optics import (
     ApertureConfig,
     ChannelMatrix,
     GridGeometry,
+    ModalCoupler,
     ModeSpec,
     polarization_expand,
     spatial_coupling_matrix,
@@ -62,6 +63,7 @@ __all__ = [
     "FrameLayout",
     "GridGeometry",
     "IsiConfig",
+    "ModalCoupler",
     "ModeSpec",
     "MonteCarloSummary",
     "NoiseConfig",

@@ -13,7 +13,6 @@ the measured OSNR in a 12.5 GHz reference bandwidth.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .framing import Frame
 from .optics import ChannelMatrix
@@ -119,6 +118,8 @@ def propagate(frame, h, phase, noise, isi=None):
         raise ValueError("phase trajectories must be (n_r, n_symbols)")
 
     if isi is not None and len(isi.taps) > 1:
+        from scipy.signal import fftconvolve
+
         taps = np.asarray(isi.taps, dtype=complex)
         shaped = fftconvolve(symbols, taps[None, :], mode="same", axes=1)
     else:

@@ -4,23 +4,48 @@ Ties the pipeline together (screens -> modal coupling -> framing ->
 channel -> receive DSP), computes link metrics (BER, EVM, outage,
 scintillation index, net spectral efficiency), and emits deterministic
 CSV / JSON reports for single runs, OSNR sweeps and Monte-Carlo
-ensembles.
+ensembles. Every coupling goes through optics.ModalCoupler, built once
+per call and reused across its screens.
 """
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 import json
+import numbers
 import os
 
 import numpy as np
-from scipy.special import erfc
-from scipy.stats import kstest, norm, unitary_group
 
 from . import channel as channel_mod
 from . import dsp, optics, screens
+from .optics import ModalCoupler
 from .framing import FrameLayout, assemble_frames, mode_delays, qpsk_demap
 
 HD_FEC_LIMIT = 4.7e-3
 DECODERS = ("mmse", "sic")
+
+
+# element type of each tuple-valued ExperimentConfig field
+_TUPLE_ITEMS = {
+    "tx_modes": str,
+    "rx_modes": str,
+    "osnr_grid": float,
+    "isi_taps": complex,
+}
+_NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Number}
+
+
+def _valid(value, kind):
+    """Whether a config value has the type kind.
+
+    Bools are not numbers, ints pass as floats, and NaN never passes.
+    Infinity does: osnr_db = inf means a noiseless channel.
+    """
+    is_bool = isinstance(value, (bool, np.bool_))
+    if kind is bool or is_bool:
+        return kind is bool and is_bool
+    if kind in _NUMBER_KINDS:
+        return isinstance(value, _NUMBER_KINDS[kind]) and value == value
+    return isinstance(value, kind)
 
 
 @dataclass(frozen=True)
@@ -64,6 +89,15 @@ class ExperimentConfig:
     hd_fec: float = HD_FEC_LIMIT
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if not _valid(value, kind) or (
+                kind is tuple
+                and not all(_valid(v, _TUPLE_ITEMS[f.name]) for v in value)
+            ):
+                raise ValueError(
+                    f"config {f.name}={value!r} is not a valid {kind.__name__}"
+                )
         if self.decoder not in ("mmse", "sic", "both"):
             raise ValueError("decoder must be one of mmse, sic, both")
         if self.channel_kind not in ("turbulent", "blank", "unitary"):
@@ -116,8 +150,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        for key in ("tx_modes", "rx_modes", "osnr_grid", "isi_taps"):
-            if key in data:
+        for key in _TUPLE_ITEMS:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         return cls(**data)
 
@@ -167,46 +201,11 @@ def _seed(seed, *path):
     return int(np.random.SeedSequence([seed, *path]).generate_state(1)[0])
 
 
-class ModalCoupler:
-    """Precomputed transmit/receive field stacks for fast per-screen coupling.
-
-    Evaluating the Laguerre-Gaussian rasters dominates the cost of
-    optics.spatial_coupling_matrix; reusing them across a screen batch
-    reduces each coupling to a single matrix product.
-    """
-
-    def __init__(self, config):
-        grid = optics.GridGeometry(
-            grid_size=config.grid_size,
-            pitch=config.physical_length / config.grid_size,
-        )
-        aperture = optics.ApertureConfig(diameter=config.aperture_diameter)
-        mask = aperture.mask(grid)
-        tx_specs = [optics.ModeSpec.lp(m, config.waist) for m in config.tx_modes]
-        rx_specs = [optics.ModeSpec.lp(m, config.waist) for m in config.rx_modes]
-        self._rx = np.stack(
-            [(np.conj(optics.mode_field(s, grid)) * mask).ravel() for s in rx_specs]
-        )
-        self._tx = np.stack([optics.mode_field(s, grid).ravel() for s in tx_specs]).T
-        self._pitch2 = grid.pitch ** 2
-        blank = (self._rx @ self._tx) * self._pitch2
-        self.calibration_spatial = optics.calibrate_columns(blank)
-        self.blank_coupling = blank
-
-    def coupling(self, screen):
-        phase = np.exp(1j * screen.raster).ravel()
-        return (self._rx * phase[None, :]) @ self._tx * self._pitch2
-
-    def channel_matrix(self, screen=None):
-        m = self.blank_coupling if screen is None else self.coupling(screen)
-        return optics.polarization_expand(
-            m, calibration=np.repeat(self.calibration_spatial, 2)
-        )
-
-
 def build_channel(config, realization, coupler=None, screen=None):
     """True channel matrix for one realization of the configured kind."""
     if config.channel_kind == "unitary":
+        from scipy.stats import unitary_group
+
         rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 3, realization])
         )
@@ -232,6 +231,8 @@ def theoretical_reference(osnr_grid, baud=channel_mod.DEFAULT_BAUD):
     Under the unitary-submatrix assumption every channel keeps the full
     per-channel SNR, so the curve is independent of (n_t, n_r).
     """
+    from scipy.special import erfc
+
     n0 = np.array([channel_mod.osnr_to_n0(o, baud, 1.0) for o in np.atleast_1d(osnr_grid)])
     with np.errstate(divide="ignore"):
         ber = 0.5 * erfc(np.sqrt(1.0 / (2.0 * n0)))
@@ -474,6 +475,8 @@ def scintillation_stats(screen_list, config, coupler=None):
     over transmit modes. The lognormal parameters come from the moments
     of ln P; the fit quality is the Kolmogorov-Smirnov distance.
     """
+    from scipy.stats import kstest, norm
+
     if len(screen_list) < 30:
         raise ValueError("need at least 30 screens for stable statistics")
     if coupler is None:

@@ -6,13 +6,18 @@ weakly-guiding LP -> LG correspondence. A phase screen plus a hard
 circular aperture maps to a modal coupling matrix by overlap integrals
 (thin-screen, negligible-diffraction model), which is then expanded over
 the two polarizations and column-calibrated on the blank screen.
+
+ModalCoupler is the one coupling implementation: it evaluates each
+distinct mode once, keeps it only on the aperture's pixels, and reduces
+each screen to one pass over those pixels. spatial_coupling_matrix is a
+one-screen view of it, and LGTerms holds the one LG formula that every
+mode field is built from.
 """
 
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 _SQ2 = np.sqrt(2.0)
 
@@ -79,8 +84,8 @@ class ApertureConfig:
         if self.diameter > grid.grid_size * grid.pitch:
             raise ValueError("aperture diameter exceeds the raster extent")
         c = grid.coords()
-        x, y = np.meshgrid(c, c)
-        return (x ** 2 + y ** 2 <= (self.diameter / 2.0) ** 2).astype(float)
+        r2 = c[None, :] ** 2 + c[:, None] ** 2
+        return (r2 <= (self.diameter / 2.0) ** 2).astype(float)
 
 
 @dataclass(frozen=True)
@@ -99,45 +104,101 @@ class ChannelMatrix:
             raise ValueError("channel matrix contains non-finite entries")
 
 
+def _genlaguerre(n, alpha, x):
+    """Generalized Laguerre polynomial L_n^alpha(x) by its three-term recurrence."""
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
+def _real_if_exact(c):
+    """The complex scalar c as a float when its imaginary part is zero."""
+    return c.real if c.imag == 0 else c
+
+
+class LGTerms:
+    """Laguerre-Gaussian superpositions at the waist plane on a raster.
+
+    This is the one LG formula of the module:
+
+        LG(p, l) = A_p|l| L_p^|l|(2 r^2 / w^2) e^{-r^2 / w^2} Z^|l|,
+
+    with A_pm = sqrt(2 p! / (pi (p + m)!)) / w and Z = sqrt(2) (x + j y) / w,
+    conjugated for l < 0. The power of x + j y stands for
+    (sqrt(2) r / w)^|l| e^{j l theta}: it needs no arctan2 or complex exp
+    and stays finite on the axis. The terms of one (p, |l|) combine as
+    a Z^m + b conj(Z^m) = (a + b) Re Z^m + j (a - b) Im Z^m, so a
+    superposition whose weights make it real, as for every LP mode, is
+    formed in real arithmetic and comes out real-valued. Each radial
+    factor and each azimuthal power is evaluated once per waist and kept
+    for the next field.
+    """
+
+    def __init__(self, grid):
+        c = grid.coords()
+        self.shape = (grid.grid_size, grid.grid_size)
+        self._x, self._y = c[None, :], c[:, None]
+        self._r2 = self._x ** 2 + self._y ** 2
+        self._radial = {}
+        self._azimuth = {}
+
+    def radial(self, p, m, waist):
+        """A_pm L_p^m(2 r^2 / w^2) e^{-r^2 / w^2} on the raster."""
+        key = (p, m, waist)
+        if key not in self._radial:
+            u = (2.0 / waist ** 2) * self._r2
+            amp = np.sqrt(2.0 * factorial(p) / (np.pi * factorial(p + m))) / waist
+            self._radial[key] = amp * _genlaguerre(p, m, u) * np.exp(-0.5 * u)
+        return self._radial[key]
+
+    def azimuth(self, m, waist):
+        """(Re Z^m, Im Z^m) on the raster, by Z^m = Z^(m-1) Z."""
+        key = (m, waist)
+        if key not in self._azimuth:
+            re, im = (_SQ2 / waist) * self._x, (_SQ2 / waist) * self._y
+            if m > 1:
+                re_prev, im_prev = self.azimuth(m - 1, waist)
+                re, im = re_prev * re - im_prev * im, re_prev * im + im_prev * re
+            self._azimuth[key] = re, im
+        return self._azimuth[key]
+
+    def field(self, composition, waist):
+        """sum(weight * LG(p, l)) over (p, l, weight) in composition."""
+        pairs = {}  # (p, |l|) -> [weight of LG(p, |l|), weight of LG(p, -|l|)]
+        for p, l, weight in composition:
+            pairs.setdefault((p, abs(l)), [0j, 0j])[l < 0] += weight
+        parts = []
+        for (p, m), (a, b) in pairs.items():
+            radial = self.radial(p, m, waist)
+            if m == 0:
+                parts.append(_real_if_exact(a + b) * radial)
+                continue
+            re, im = self.azimuth(m, waist)
+            for coeff, part in ((a + b, re), (1j * (a - b), im)):
+                if coeff != 0:
+                    parts.append(_real_if_exact(coeff) * part * radial)
+        return sum(parts[1:], parts[0]) if parts else np.zeros(self.shape)
+
+
 def lg_field(p, l, waist, grid):
-    """Laguerre-Gaussian field at the waist plane, discretely normalized."""
-    c = grid.coords()
-    x, y = np.meshgrid(c, c)
-    r2 = x ** 2 + y ** 2
-    rho = np.sqrt(r2)
-    amp = np.sqrt(2.0 * factorial(p) / (np.pi * factorial(p + abs(l)))) / waist
-    field = (
-        amp
-        * (_SQ2 * rho / waist) ** abs(l)
-        * eval_genlaguerre(p, abs(l), 2.0 * r2 / waist ** 2)
-        * np.exp(-r2 / waist ** 2)
-        * np.exp(1j * l * np.arctan2(y, x))
-    )
-    return field / np.sqrt(np.sum(np.abs(field) ** 2) * grid.pitch ** 2)
+    """A single LG(p, l) term as a mode field (see mode_field)."""
+    spec = ModeSpec(label=f"LG({p},{l})", lg_composition=((p, l, 1.0),), waist=waist)
+    return mode_field(spec, grid)
 
 
-def mode_field(spec, grid):
+def mode_field(spec, grid, terms=None):
     """Evaluate a ModeSpec on the grid; rejects badly clipped waists.
 
     The analytic fields carry unit continuum energy, so the energy
-    captured on the raster measures clipping directly.
+    captured on the raster measures clipping directly. `terms` shares
+    an LGTerms cache of the same grid across several fields. The field
+    is real-valued when the composition makes it real (see LGTerms).
     """
-    c = grid.coords()
-    x, y = np.meshgrid(c, c)
-    r2 = x ** 2 + y ** 2
-    rho = np.sqrt(r2)
-    theta = np.arctan2(y, x)
-    field = np.zeros_like(rho, dtype=complex)
-    for p, l, weight in spec.lg_composition:
-        amp = np.sqrt(2.0 * factorial(p) / (np.pi * factorial(p + abs(l)))) / spec.waist
-        field += weight * (
-            amp
-            * (_SQ2 * rho / spec.waist) ** abs(l)
-            * eval_genlaguerre(p, abs(l), 2.0 * r2 / spec.waist ** 2)
-            * np.exp(-r2 / spec.waist ** 2)
-            * np.exp(1j * l * theta)
-        )
-    captured = np.sum(np.abs(field) ** 2) * grid.pitch ** 2
+    if terms is None:
+        terms = LGTerms(grid)
+    field = terms.field(spec.lg_composition, spec.waist)
+    captured = np.vdot(field, field).real * grid.pitch ** 2
     if captured < 0.99:
         raise ValueError(
             f"mode {spec.label}: only {captured:.3f} of the energy falls on the "
@@ -155,16 +216,81 @@ def overlap(a, b, pitch):
     return complex(np.sum(np.conj(a) * b) * pitch ** 2)
 
 
+class ModalCoupler:
+    """Modal coupling M_kl = <psi_k_rx | A e^{j phi} psi_l_tx> per screen.
+
+    Each distinct mode of the transmit and receive sets is evaluated
+    once (sharing LG terms, see LGTerms), normalized over the full
+    raster, and kept only on the aperture's pixels, where the receive
+    side is nonzero. A coupling then exponentiates the screen and sums
+    only over those pixels; LP fields are real, so it runs in real
+    arithmetic.
+    `ModalCoupler(config)` reads the grid, aperture, waist and mode
+    labels of an ExperimentConfig; `of_modes` takes them explicitly.
+    """
+
+    def __init__(self, config):
+        self._couple(
+            GridGeometry(
+                grid_size=config.grid_size,
+                pitch=config.physical_length / config.grid_size,
+            ),
+            [ModeSpec.lp(m, config.waist) for m in config.tx_modes],
+            [ModeSpec.lp(m, config.waist) for m in config.rx_modes],
+            ApertureConfig(diameter=config.aperture_diameter),
+        )
+
+    @classmethod
+    def of_modes(cls, grid, tx, rx, aperture):
+        """Coupler for ModeSpec sequences tx and rx on grid behind aperture."""
+        coupler = cls.__new__(cls)
+        coupler._couple(grid, list(tx), list(rx), aperture)
+        return coupler
+
+    def _couple(self, grid, tx, rx, aperture):
+        self._shape = (grid.grid_size, grid.grid_size)
+        self._pixels = np.flatnonzero(aperture.mask(grid))
+        self._pitch2 = grid.pitch ** 2
+        terms = LGTerms(grid)
+        fields = {
+            spec: mode_field(spec, grid, terms).ravel()[self._pixels]
+            for spec in dict.fromkeys(tx + rx)
+        }
+        self._tx = np.stack([fields[s] for s in tx])
+        self._rx = np.stack([fields[s] for s in rx])
+        np.conj(self._rx, out=self._rx)
+        blank = (self._rx @ self._tx.T).astype(complex) * self._pitch2
+        self.calibration_spatial = calibrate_columns(blank)
+        self.blank_coupling = blank
+
+    def coupling(self, screen):
+        """Spatial coupling matrix (n_rx, n_tx) through one phase screen.
+
+        e^{j phi} enters as cos + j sin, which keeps real (LP) field
+        stacks in real arithmetic.
+        """
+        if screen.raster.shape != self._shape:
+            raise ValueError(
+                f"screen raster {screen.raster.shape} does not match the "
+                f"coupler grid {self._shape}"
+            )
+        phi = screen.raster.ravel()[self._pixels]
+        cos_part = self._rx @ (self._tx * np.cos(phi)).T
+        sin_part = self._rx @ (self._tx * np.sin(phi)).T
+        return (cos_part + 1j * sin_part) * self._pitch2
+
+    def channel_matrix(self, screen=None):
+        """Calibrated polarization-expanded channel; blank when screen is None."""
+        m = self.blank_coupling if screen is None else self.coupling(screen)
+        return polarization_expand(
+            m, calibration=np.repeat(self.calibration_spatial, 2)
+        )
+
+
 def spatial_coupling_matrix(screen, tx, rx, aperture):
     """Modal coupling matrix M_kl = <psi_k_rx | A e^{j phi} psi_l_tx>."""
     grid = GridGeometry.of_screen(screen)
-    mask = aperture.mask(grid)
-    rx_fields = np.stack(
-        [(np.conj(mode_field(spec, grid)) * mask).ravel() for spec in rx]
-    )
-    tx_fields = np.stack([mode_field(spec, grid).ravel() for spec in tx]).T
-    phase = np.exp(1j * screen.raster).ravel()
-    return (rx_fields * phase[None, :]) @ tx_fields * grid.pitch ** 2
+    return ModalCoupler.of_modes(grid, tx, rx, aperture).coupling(screen)
 
 
 def calibrate_columns(h_blank, target=None):

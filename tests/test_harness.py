@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mdmfso
 from mdmfso import screens
 from mdmfso.cli import main as cli_main
 from mdmfso.harness import (
@@ -61,11 +65,31 @@ class TestConfig:
             {"n_frames": 0},
             {"realizations": 0},
             {"tx_modes": ("LP99",)},
+            {"realizations": "5"},
+            {"realizations": 5.0},
+            {"genie_csi": 1},
+            {"osnr_db": float("nan")},
+            {"fried": None},
+            {"osnr_grid": (12.0, float("nan"))},
+            {"osnr_grid": [12.0]},
+            {"tx_modes": (["LP01"],)},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    def test_infinite_osnr_valid(self):
+        assert ExperimentConfig(osnr_db=float("inf")).osnr_db == float("inf")
+
+    def test_numpy_and_int_values_valid(self):
+        cfg = ExperimentConfig(seed=np.int64(3), osnr_db=30, fried=np.float64(1e-3))
+        assert cfg.seed == 3
+
+    @pytest.mark.parametrize("key", ["osnr_grid", "tx_modes"])
+    def test_from_dict_rejects_scalar_for_tuple(self, key):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({key: 5})
 
     def test_screen_config(self):
         cfg = ExperimentConfig(seed=5)
@@ -340,8 +364,39 @@ class TestCli:
         lines = (out / "run.csv").read_text().strip().split("\n")
         assert all(line.split(",")[1] == "mmse" for line in lines[1:])
 
+    @pytest.mark.parametrize(
+        "data", [{"realizations": "5"}, {"osnr_db": float("nan")}], ids=["str", "nan"]
+    )
+    def test_mistyped_config_exits_1(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = cli_main(["monte-carlo", "--config", str(bad), "--out", str(tmp_path / "mc")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config ")
+        assert not (tmp_path / "mc").exists()
+
     def test_bad_config_returns_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"no_such_key": 1}))
         rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 1
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only by the functions that use it, so that
+    # importing the package (every CLI run) stays cheap
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdmfso.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys, mdmfso; "
+        "print(sorted(m for m in sys.modules if m.startswith(("
+        "'scipy.signal', 'scipy.stats', 'scipy.special'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

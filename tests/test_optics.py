@@ -1,11 +1,16 @@
+from math import factorial
+
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from mdmfso import optics
+from mdmfso.harness import ExperimentConfig
 from mdmfso.optics import (
     ApertureConfig,
     ChannelMatrix,
     GridGeometry,
+    ModalCoupler,
     ModeSpec,
     calibrate_columns,
     lg_field,
@@ -99,6 +104,111 @@ class TestModeFields:
         f00 = lg_field(0, 0, 2.1e-3, fine)
         f01 = lg_field(0, 1, 2.1e-3, fine)
         assert abs(overlap(f00, f01, fine.pitch)) < 1e-6
+
+
+def arctan2_field(spec, grid):
+    """A mode field from the explicit LG formula with e^{j l theta}."""
+    c = grid.coords()
+    x, y = np.meshgrid(c, c)
+    r2 = x ** 2 + y ** 2
+    w = spec.waist
+    field = np.zeros(r2.shape, dtype=complex)
+    for p, l, weight in spec.lg_composition:
+        amp = np.sqrt(2.0 * factorial(p) / (np.pi * factorial(p + abs(l)))) / w
+        field += weight * (
+            amp
+            * (np.sqrt(2.0 * r2) / w) ** abs(l)
+            * eval_genlaguerre(p, abs(l), 2.0 * r2 / w ** 2)
+            * np.exp(-r2 / w ** 2)
+            * np.exp(1j * l * np.arctan2(y, x))
+        )
+    return field / np.sqrt(np.sum(np.abs(field) ** 2) * grid.pitch ** 2)
+
+
+class TestAzimuthPower:
+    def test_laguerre_recurrence(self):
+        x = np.linspace(0.0, 12.0, 50)
+        for n in range(6):
+            for alpha in range(3):
+                np.testing.assert_allclose(
+                    optics._genlaguerre(n, alpha, x) * np.ones_like(x),
+                    eval_genlaguerre(n, alpha, x),
+                    rtol=1e-12,
+                    atol=1e-12,
+                )
+
+    def test_finite_on_axis_and_matches_arctan2_form(self):
+        # on an odd grid one pixel sits at r = 0, where theta is undefined
+        fine = GridGeometry(grid_size=961, pitch=8.832e-3 / 961)
+        c = fine.grid_size // 2
+        assert fine.coords()[c] == 0.0
+        specs = [ModeSpec.lp(m) for m in optics.RX_MODES] + [
+            ModeSpec(label=f"LG0{l}", lg_composition=((0, l, 1.0),))
+            for l in (-2, -1, 1, 2)
+        ]
+        for spec in specs:
+            f = mode_field(spec, fine)
+            ref = arctan2_field(spec, fine)
+            assert np.all(np.isfinite(f)), spec.label
+            assert np.max(np.abs(f - ref)) < 1e-12 * np.max(np.abs(ref)), spec.label
+            if all(l != 0 for _, l, _ in spec.lg_composition):
+                assert f[c, c] == 0
+
+    def test_lp_fields_real(self):
+        for label in optics.LP_TO_LG:
+            assert not np.iscomplexobj(mode_field(ModeSpec.lp(label), GRID)), label
+
+
+class TestModalCoupler:
+    """The aperture-only coupler against the brute-force overlap
+    sum(conj(psi_rx) * mask * e^{j phi} * psi_tx) * pitch^2."""
+
+    SMALL = 120
+
+    @staticmethod
+    def brute_force(cfg, raster):
+        grid = GridGeometry(cfg.grid_size, cfg.physical_length / cfg.grid_size)
+        mask = ApertureConfig(cfg.aperture_diameter).mask(grid)
+        rx = [mode_field(ModeSpec.lp(m, cfg.waist), grid) for m in cfg.rx_modes]
+        tx = [mode_field(ModeSpec.lp(m, cfg.waist), grid) for m in cfg.tx_modes]
+        screen = mask * np.exp(1j * raster)
+        return np.array(
+            [[np.sum(np.conj(a) * screen * b) for b in tx] for a in rx]
+        ) * grid.pitch ** 2
+
+    @staticmethod
+    def assert_close(m, ref):
+        assert m.shape == ref.shape
+        assert np.linalg.norm(m - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "modes",
+        [
+            {},
+            {"tx_modes": ("LP02",), "rx_modes": ("LP01", "LP11a")},
+        ],
+        ids=["default", "tx_not_in_rx"],
+    )
+    def test_matches_brute_force(self, modes):
+        cfg = ExperimentConfig(grid_size=self.SMALL, **modes)
+        coupler = ModalCoupler(cfg)
+        rng = np.random.default_rng(7)
+        random = rng.uniform(-np.pi, np.pi, (self.SMALL, self.SMALL))
+        blank = np.zeros((self.SMALL, self.SMALL))
+        grid = GridGeometry(self.SMALL, cfg.physical_length / self.SMALL)
+        for raster in (random, blank):
+            screen = PhaseScreen(raster=raster, pitch=grid.pitch)
+            self.assert_close(coupler.coupling(screen), self.brute_force(cfg, raster))
+        blank_ref = self.brute_force(cfg, blank)
+        self.assert_close(coupler.blank_coupling, blank_ref)
+        np.testing.assert_allclose(
+            coupler.calibration_spatial, calibrate_columns(blank_ref), rtol=1e-12
+        )
+
+    def test_screen_grid_mismatch(self):
+        coupler = ModalCoupler(ExperimentConfig(grid_size=self.SMALL))
+        with pytest.raises(ValueError, match="coupler grid"):
+            coupler.coupling(blank_screen())
 
 
 class TestOverlap:
