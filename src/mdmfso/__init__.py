@@ -10,6 +10,7 @@ from .screens import (
     ScreenConfig,
     batch_generate,
     generate_screen,
+    iter_screens,
     kolmogorov_structure_function,
     read_screen,
     structure_function,
@@ -80,6 +81,7 @@ __all__ = [
     "estimate_phase",
     "generate_screen",
     "hard_decision",
+    "iter_screens",
     "kolmogorov_structure_function",
     "mmse_decode",
     "mode_delays",

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import harness, screens
+from . import harness, optics, screens
 
 
 def _load_config(args):
@@ -41,35 +41,44 @@ def _add_common(parser):
 
 def cmd_gen_screens(args):
     cfg = _load_config(args)
+    ensemble = screens.iter_screens(cfg.screen_config(), args.count)
     out = harness.ensure_out_dir(args.out)
-    base = cfg.screen_config()
-    for i in range(args.count):
-        seed = screens.sub_seed(base.seed, i)
-        sc = replace(base, seed=seed)
-        screen = screens.generate_screen(sc)
-        screens.write_screen(os.path.join(out, f"screen_{i:04d}.phs"), screen, sc)
+    for i, (member, screen) in enumerate(ensemble):
+        path = os.path.join(out, f"screen_{i:04d}.phs")
+        screens.write_screen(path, screen, member)
     print(f"wrote {args.count} screens to {out}")
     return 0
 
 
 def cmd_stats(args):
+    # one pass over the streamed ensemble; files are written after it
     cfg = _load_config(args)
+    harness.check_stats_count(args.count)
+    base = cfg.screen_config()
+    coupler = optics.ModalCoupler(cfg)
+    powers = []
+
+    def captured(stream):
+        # the structure function consumes the screens; take each one's
+        # captured power on the way
+        for _, screen in stream:
+            powers.append(coupler.captured_power(screen))
+            yield screen
+
+    k_max = 0.2 * base.physical_length / base.pitch
+    seps = np.unique(np.round(np.geomspace(5, k_max, 12)).astype(int)) * base.pitch
+    rs, d_emp = screens.structure_function(
+        captured(screens.iter_screens(base, args.count)), seps
+    )
+    stats = harness.power_statistics(powers)
+
     out = harness.ensure_out_dir(args.out)
-    batch = screens.batch_generate(cfg.screen_config(), args.count)
-    pitch = batch[0].pitch
-    length = batch[0].physical_length
-    seps = np.unique(
-        np.round(np.geomspace(5, 0.2 * length / pitch, 12)).astype(int)
-    ) * pitch
-    rs, d_emp = screens.structure_function(batch, seps)
     d_ref = screens.kolmogorov_structure_function(rs, cfg.fried)
     lines = ["r_m,d_phi,d_phi_kolmogorov,ratio"]
     for r, de, dr in zip(rs, d_emp, d_ref):
         lines.append(f"{r:.10e},{de:.10e},{dr:.10e},{de / dr:.10e}")
     with open(os.path.join(out, "structure_function.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    stats = harness.scintillation_stats(batch, cfg)
     payload = {
         "screens": args.count,
         "fried": cfg.fried,
@@ -131,6 +140,22 @@ def cmd_monte_carlo(args):
         print(
             f"{name}: ensemble BER {summary.averages[name]:.4e}, "
             f"outage {summary.outage_probability[name]:.3f}"
+        )
+    if cfg.decoder == "both":
+        # both decoders read the same samples, so realizations compare in pairs
+        pairs = list(zip(summary.reports["sic"], summary.reports["mmse"]))
+        wins = sum(a.ber_avg < b.ber_avg for a, b in pairs)
+        ties = sum(a.ber_avg == b.ber_avg for a, b in pairs)
+        ratio = summary.averages["mmse"] / summary.averages["sic"]
+        print(
+            f"paired: SIC better on {wins}, tied on {ties}, worse on "
+            f"{len(pairs) - wins - ties} of {len(pairs)} realizations; "
+            f"MMSE/SIC ensemble BER ratio {ratio:.2f}"
+        )
+        sic, mmse = max(pairs, key=lambda ab: ab[0].ber_avg - ab[1].ber_avg)
+        print(
+            f"largest SIC-minus-MMSE gap at realization {sic.realization}: "
+            f"{sic.ber_avg - mmse.ber_avg:+.3e}"
         )
     return 0
 

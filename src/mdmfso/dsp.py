@@ -193,9 +193,9 @@ def _mmse_weights(h, n0):
     return np.linalg.solve(gram + n0 * np.eye(n_r), h), regularized
 
 
-def _post_sinr(h, n0):
-    """Post-detection MMSE SINR per column: rho/(1-rho), rho = w_k^H h_k."""
-    w, _ = _mmse_weights(h, n0)
+def _post_sinr(w, h):
+    """Post-detection SINR per column of the MMSE weights w for h:
+    rho/(1-rho), rho = w_k^H h_k."""
     rho = np.real(np.einsum("rk,rk->k", np.conj(w), h))
     rho = np.clip(rho, 0.0, 1.0 - 1e-15)
     return rho / (1.0 - rho)
@@ -220,7 +220,7 @@ def mmse_decode(y, h_hat, n0):
         soft=soft,
         hard=hard_decision(soft),
         order=tuple(range(h.shape[1])),
-        sinr=_post_sinr(h, n0),
+        sinr=_post_sinr(w, h),
         regularized=regularized,
     )
 
@@ -235,7 +235,8 @@ def sic_order(h_hat, n0):
     remaining = list(range(h.shape[1]))
     order = []
     while remaining:
-        sinr = _post_sinr(h[:, remaining], n0)
+        w, _ = _mmse_weights(h[:, remaining], n0)
+        sinr = _post_sinr(w, h[:, remaining])
         # argmax returns the first maximum; remaining is kept ascending
         best = remaining[int(np.argmax(sinr))]
         order.append(best)
@@ -276,7 +277,7 @@ def sic_decode(y, h_hat, n0, order=None):
         # mmse_decode (same BLAS path), so the outputs are bit-equal
         soft[k] = (w.conj().T @ y_clean)[pos]
         hard[k] = hard_decision(soft[k])
-        sinr[k] = _post_sinr(h[:, remaining], n0)[pos]
+        sinr[k] = _post_sinr(w, h[:, remaining])[pos]
         y_clean = y_clean - np.outer(h[:, k], hard[k])
         remaining.remove(k)
     return DecodeResult(

@@ -201,6 +201,14 @@ def _seed(seed, *path):
     return int(np.random.SeedSequence([seed, *path]).generate_state(1)[0])
 
 
+def realization_screen(config, realization):
+    """The turbulence screen of Monte-Carlo realization `realization`,
+    seeded [seed, 0, realization] (see README, Determinism)."""
+    return screens.generate_screen(
+        config.screen_config(seed=_seed(config.seed, 0, realization))
+    )
+
+
 def build_channel(config, realization, coupler=None, screen=None):
     """True channel matrix for one realization of the configured kind."""
     if config.channel_kind == "unitary":
@@ -219,9 +227,7 @@ def build_channel(config, realization, coupler=None, screen=None):
     if config.channel_kind == "blank":
         return coupler.channel_matrix(None)
     if screen is None:
-        screen = screens.generate_screen(
-            config.screen_config(seed=_seed(config.seed, 0, realization))
-        )
+        screen = realization_screen(config, realization)
     return coupler.channel_matrix(screen)
 
 
@@ -468,27 +474,21 @@ def scintillation_index(powers):
     return float(np.mean(powers ** 2) / np.mean(powers) ** 2 - 1.0)
 
 
-def scintillation_stats(screen_list, config, coupler=None):
-    """Scintillation index and lognormal fit of the captured-power proxy.
+def check_stats_count(count):
+    """Reject an ensemble too small for stable power statistics."""
+    if count < 30:
+        raise ValueError(f"need at least 30 screens for stable statistics, got {count}")
 
-    Power per screen is the calibrated coupling Frobenius norm averaged
-    over transmit modes. The lognormal parameters come from the moments
-    of ln P; the fit quality is the Kolmogorov-Smirnov distance.
+
+def power_statistics(powers):
+    """Scintillation index and lognormal fit of captured powers.
+
+    The lognormal parameters come from the moments of ln P; the fit
+    quality is the Kolmogorov-Smirnov distance.
     """
     from scipy.stats import kstest, norm
 
-    if len(screen_list) < 30:
-        raise ValueError("need at least 30 screens for stable statistics")
-    if coupler is None:
-        coupler = ModalCoupler(config)
-    n_tx = len(config.tx_modes)
-    cal = coupler.calibration_spatial
-    powers = np.array(
-        [
-            optics.received_power_proxy(coupler.coupling(s) * cal[None, :], n_tx)
-            for s in screen_list
-        ]
-    )
+    powers = np.asarray(powers, dtype=float)
     si = scintillation_index(powers)
     logp = np.log(powers)
     mu, sigma = float(np.mean(logp)), float(np.std(logp))
@@ -500,6 +500,15 @@ def scintillation_stats(screen_list, config, coupler=None):
         "ks_distance": ks,
         "powers": powers,
     }
+
+
+def scintillation_stats(screen_list, config, coupler=None):
+    """power_statistics of the captured-power proxy of each screen (see
+    ModalCoupler.captured_power)."""
+    check_stats_count(len(screen_list))
+    if coupler is None:
+        coupler = ModalCoupler(config)
+    return power_statistics([coupler.captured_power(s) for s in screen_list])
 
 
 def net_spectral_efficiency(

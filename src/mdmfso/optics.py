@@ -67,7 +67,11 @@ class ModeSpec:
         return cls(label=label, lg_composition=LP_TO_LG[label], waist=waist)
 
     def __post_init__(self):
-        total = sum(abs(w) ** 2 for _, _, w in self.lg_composition)
+        # repeated LG terms add up (as in LGTerms.field) before the norm
+        weights = {}
+        for p, l, w in self.lg_composition:
+            weights[p, l] = weights.get((p, l), 0) + w
+        total = sum(abs(w) ** 2 for w in weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError("composition weights must have unit squared magnitude")
         if self.waist <= 0:
@@ -278,6 +282,12 @@ class ModalCoupler:
         cos_part = self._rx @ (self._tx * np.cos(phi)).T
         sin_part = self._rx @ (self._tx * np.sin(phi)).T
         return (cos_part + 1j * sin_part) * self._pitch2
+
+    def captured_power(self, screen):
+        """Captured-power proxy through one screen: the squared Frobenius
+        norm of the calibrated coupling, averaged over transmit modes."""
+        m = self.coupling(screen) * self.calibration_spatial[None, :]
+        return received_power_proxy(m, len(self.calibration_spatial))
 
     def channel_matrix(self, screen=None):
         """Calibrated polarization-expanded channel; blank when screen is None."""

@@ -16,6 +16,7 @@ calibration applied to the real part is therefore 2**(-1/3).
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 import json
 import struct
 
@@ -233,14 +234,22 @@ def sub_seed(seed, index):
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
-def batch_generate(config, count):
-    """Generate `count` screens from independent sub-seeds of config.seed."""
+def iter_screens(config, count):
+    """Stream the ensemble of config as (member config, screen) pairs.
+
+    Member i is config with seed sub_seed(config.seed, i); this is the
+    one place that rule lives. The count is checked before any screen
+    is generated.
+    """
     if count < 1:
-        raise ValueError("count must be >= 1")
-    return [
-        generate_screen(replace(config, seed=sub_seed(config.seed, i)))
-        for i in range(count)
-    ]
+        raise ValueError(f"count must be >= 1, got {count}")
+    members = (replace(config, seed=sub_seed(config.seed, i)) for i in range(count))
+    return ((member, generate_screen(member)) for member in members)
+
+
+def batch_generate(config, count):
+    """The `count` screens of iter_screens(config, count) as a list."""
+    return [screen for _, screen in iter_screens(config, count)]
 
 
 def structure_function(screens, separations):
@@ -248,12 +257,15 @@ def structure_function(screens, separations):
 
     Averages [phi(x+r) - phi(x)]^2 over screens, both raster axes and all
     positions, for each separation r (a multiple of the pixel pitch,
-    smaller than half the screen).
+    smaller than half the screen). `screens` may be any iterable, such
+    as an iter_screens stream, and is read once.
     """
-    if not screens:
+    stream = iter(screens)
+    first = next(stream, None)
+    if first is None:
         raise ValueError("need at least one screen")
-    pitch = screens[0].pitch
-    length = screens[0].physical_length
+    pitch = first.pitch
+    length = first.physical_length
     shifts = []
     for r in separations:
         k = r / pitch
@@ -265,13 +277,15 @@ def structure_function(screens, separations):
         shifts.append(k_int)
     rs = np.array([k * pitch for k in shifts])
     d = np.zeros(len(shifts))
-    for screen in screens:
+    stream = chain([first], stream)
+    del first  # hold one screen at a time
+    for count, screen in enumerate(stream, start=1):
         phi = screen.raster
         for i, k in enumerate(shifts):
             dx = phi[:, k:] - phi[:, :-k]
             dy = phi[k:, :] - phi[:-k, :]
             d[i] += 0.5 * (np.mean(dx ** 2) + np.mean(dy ** 2))
-    return rs, d / len(screens)
+    return rs, d / count
 
 
 def kolmogorov_structure_function(r, fried):

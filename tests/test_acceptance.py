@@ -5,6 +5,7 @@ pass/fail line per criterion. Ensembles that several criteria share
 (the 120 strong-turbulence screens) are built once per session.
 """
 
+from dataclasses import replace
 import json
 
 import numpy as np
@@ -17,8 +18,8 @@ from mdmfso.cli import main as cli_main
 from mdmfso.framing import QPSK, balanced_qpsk
 from mdmfso.harness import (
     ExperimentConfig,
-    _seed,
     monte_carlo,
+    realization_screen,
     run_realization,
     scintillation_stats,
     sweep_osnr,
@@ -35,22 +36,10 @@ def errors(report):
 
 @pytest.fixture(scope="session")
 def strong_screens():
-    """120 strong-turbulence screens with the exact per-realization seeds
-    the Monte-Carlo harness would draw, so results match unseeded runs."""
-    base = ExperimentConfig(seed=SEED).screen_config()
-    batch = []
-    for r in range(ENSEMBLE):
-        cfg = screens.ScreenConfig(
-            fried=base.fried,
-            grid_size=base.grid_size,
-            physical_length=base.physical_length,
-            outer_scale=base.outer_scale,
-            inner_scale=base.inner_scale,
-            subharmonic_levels=base.subharmonic_levels,
-            seed=_seed(SEED, 0, r),
-        )
-        batch.append(screens.generate_screen(cfg))
-    return batch
+    """120 strong-turbulence screens, the very ones the Monte-Carlo
+    harness draws, so results match runs without a screen batch."""
+    cfg = ExperimentConfig(seed=SEED)
+    return [realization_screen(cfg, r) for r in range(ENSEMBLE)]
 
 
 @pytest.fixture(scope="session")
@@ -72,21 +61,9 @@ def test_criterion_01_screen_statistics():
     def streamed_sf(levels):
         # one screen at a time: 200 rasters at the full grid would not
         # fit in memory alongside the session fixtures
-        from dataclasses import replace
-
-        d = np.zeros(len(ks))
-        rs = None
-        for i in range(count):
-            cfg = replace(
-                base,
-                seed=screens.sub_seed(base.seed, i),
-                subharmonic_levels=levels,
-            )
-            rs, di = screens.structure_function(
-                [screens.generate_screen(cfg)], seps
-            )
-            d += di
-        return rs, d / count
+        cfg = replace(base, subharmonic_levels=levels)
+        stream = (screen for _, screen in screens.iter_screens(cfg, count))
+        return screens.structure_function(stream, seps)
 
     rs, d_full = streamed_sf(base.subharmonic_levels)
     _, d_none = streamed_sf(0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from mdmfso.harness import (
     line_rate,
     monte_carlo,
     net_spectral_efficiency,
+    realization_screen,
     run_realization,
     scintillation_index,
     scintillation_stats,
@@ -226,6 +228,11 @@ class TestPipeline:
             counts = sum(n for _, _, n in summary.histogram[name])
             assert counts == 2
 
+    def test_realization_screens_reproduce_the_ensemble(self):
+        cfg = ExperimentConfig(**FAST, osnr_db=18.0)
+        batch = [realization_screen(cfg, r) for r in range(cfg.realizations)]
+        assert monte_carlo(cfg, screen_batch=batch).reports == monte_carlo(cfg).reports
+
     def test_monte_carlo_validation(self):
         cfg = ExperimentConfig(**FAST)
         with pytest.raises(ValueError):
@@ -297,6 +304,34 @@ class TestReportFiles:
         assert all(line.startswith("mmse,") for line in lines[1:])
 
 
+# sha256 of the byte-stable CLI outputs on the config_file config below
+# (with --count 3, monte-carlo runs the determinism-criterion config).
+# Unlike that criterion, which compares two runs of the same code, these
+# hold across versions; an intended change re-pins a hash and says why.
+GOLDEN = {
+    "gen-screens": {
+        "screen_0000.phs": "190497e65b9f48c92215d0a517c4eca581f65e5dca33b54b3633089fba197f57",
+        "screen_0000.phs.json": "a9ff2403a62fcd411fbdf8e4b7ccd01159989ae8627a17c0911910a0d1650fda",
+        "screen_0001.phs": "de72f099d1deafa9a54fa5ac24d16648e0e7105d241f00155392d241da774e2f",
+        "screen_0001.phs.json": "6cedc1260411d6f6784f74257c4f37b9f06f3b0f8c5f94dd110fdec73e830c57",
+    },
+    "stats": {
+        "structure_function.csv": "cf064873da040ae6bf97521d976d4f92d8af96a6f2ffdf51c04ac0e0b8cd6517",
+        "scintillation.json": "385e212b6db98cd6c2cc8d1fee2fca2d98b4e92d83fd2f632a3fe89b2c0fe71c",
+    },
+    "monte-carlo": {
+        "realizations.csv": "2adcc8f1d536e5ddcb04da1fee1d19146cc14ed43f387da2ba6e93a418ee3d9e",
+        "summary.json": "52f1257d72950bec813ef06c86e045dfa1b487bf72e86ed5edadb9c7524e543c",
+        "histogram.csv": "fc43adf6613f77cc8094001e670d0b628dcc993c23bf9ca6de2b43a7f97cf97f",
+    },
+}
+
+
+def hashes(out):
+    """sha256 of every file in the directory out, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 class TestCli:
     @pytest.fixture()
     def config_file(self, tmp_path):
@@ -314,7 +349,7 @@ class TestCli:
         assert rc == 0
         screen, header = read_screen(out / "screen_0000.phs")
         assert header["grid_size"] == 480
-        assert (out / "screen_0001.phs").exists()
+        assert hashes(out) == GOLDEN["gen-screens"]
 
     def test_run(self, tmp_path, config_file):
         out = tmp_path / "run"
@@ -322,16 +357,21 @@ class TestCli:
         assert rc == 0
         assert (out / "run.csv").exists()
 
-    def test_monte_carlo(self, tmp_path, config_file):
+    def test_monte_carlo(self, tmp_path, config_file, capsys):
         out = tmp_path / "mc"
-        rc = cli_main(
-            ["monte-carlo", "--config", config_file, "--count", "2", "--out", str(out)]
-        )
+        argv = ["monte-carlo", "--config", config_file, "--count", "3"]
+        rc = cli_main([*argv, "--out", str(out)])
         assert rc == 0
-        for name in ("realizations.csv", "summary.json", "histogram.csv"):
-            assert (out / name).exists()
+        assert hashes(out) == GOLDEN["monte-carlo"]
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["realizations"] == 2
+        assert summary["realizations"] == 3
+        paired = capsys.readouterr().out.splitlines()[2:]
+        assert paired[0].startswith("paired: SIC better on ")
+        assert " of 3 realizations; MMSE/SIC ensemble BER ratio " in paired[0]
+        assert paired[1].startswith("largest SIC-minus-MMSE gap at realization ")
+        # one decoder: nothing to pair
+        assert cli_main([*argv, "--decoder", "sic", "--out", str(tmp_path / "sic")]) == 0
+        assert "paired" not in capsys.readouterr().out
 
     def test_sweep(self, tmp_path, config_file):
         out = tmp_path / "sweep"
@@ -348,7 +388,7 @@ class TestCli:
             ["stats", "--config", config_file, "--count", "30", "--out", str(out)]
         )
         assert rc == 0
-        assert (out / "structure_function.csv").exists()
+        assert hashes(out) == GOLDEN["stats"]
         payload = json.loads((out / "scintillation.json").read_text())
         assert payload["screens"] == 30
 
@@ -374,6 +414,18 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: config ")
         assert not (tmp_path / "mc").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["gen-screens", "0"], ["gen-screens", "-3"], ["stats", "10"],
+                 ["monte-carlo", "0"], ["monte-carlo", "-3"]],
+    )
+    def test_bad_count_exits_1_without_output(self, tmp_path, capsys, config_file, argv):
+        out = tmp_path / "out"
+        command, count = argv
+        rc = cli_main([command, "--config", config_file, "--count", count, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_bad_config_returns_error(self, tmp_path):
         bad = tmp_path / "bad.json"

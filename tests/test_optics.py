@@ -51,6 +51,14 @@ class TestModeSpec:
         with pytest.raises(ValueError):
             ModeSpec(label="x", lg_composition=((0, 0, 0.5),))
 
+    def test_repeated_terms_combine_before_the_norm(self):
+        # 0.6 - 0.8 leaves LG(0, 1) with weight -0.2: energy 0.04, not 1
+        with pytest.raises(ValueError, match="unit squared magnitude"):
+            ModeSpec(label="x", lg_composition=((0, 1, 0.6), (0, 1, -0.8)))
+        split = ModeSpec(label="y", lg_composition=((0, 1, 0.5), (0, 1, 0.5)))
+        whole = ModeSpec(label="z", lg_composition=((0, 1, 1.0),))
+        np.testing.assert_allclose(mode_field(split, GRID), mode_field(whole, GRID), atol=1e-12)
+
     def test_nonpositive_waist(self):
         with pytest.raises(ValueError):
             ModeSpec.lp("LP01", waist=0.0)

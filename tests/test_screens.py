@@ -11,6 +11,7 @@ from mdmfso.screens import (
     ScreenConfig,
     batch_generate,
     generate_screen,
+    iter_screens,
     kolmogorov_structure_function,
     read_screen,
     structure_function,
@@ -144,9 +145,11 @@ class TestGeneration:
         assert len(batch) == 3
         assert not np.allclose(batch[0].raster, batch[1].raster)
 
-    def test_batch_count_validation(self):
-        with pytest.raises(ValueError):
-            batch_generate(SMALL, 0)
+    def test_batch_count_validation(self, monkeypatch):
+        monkeypatch.setattr(screens, "generate_screen", None)  # must not be reached
+        for make, count in ((batch_generate, 0), (iter_screens, 0), (iter_screens, -3)):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                make(SMALL, count)
 
     def test_sub_seed_deterministic(self):
         assert sub_seed(3, 5) == sub_seed(3, 5)
@@ -185,6 +188,8 @@ class TestStructureFunction:
             structure_function([screen], [SMALL.physical_length / 2])
         with pytest.raises(ValueError):
             structure_function([], [SMALL.pitch])
+        with pytest.raises(ValueError):
+            structure_function(iter([]), [SMALL.pitch])
 
 
 class TestFileFormat:
