@@ -201,11 +201,17 @@ def _post_sinr(w, h):
     return rho / (1.0 - rho)
 
 
+# hard_decision's output per sign pattern, indexed by (Re < 0) + 2 (Im < 0)
+_QPSK_CORNERS = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
+
+
 def hard_decision(soft):
     """Nearest QPSK point; boundary values resolve toward the positive
-    quadrant via the non-strict comparisons."""
+    quadrant via the non-strict comparisons, and NaN toward the negative."""
     s = np.asarray(soft)
-    return (np.where(s.real >= 0, 1.0, -1.0) + 1j * np.where(s.imag >= 0, 1.0, -1.0)) / np.sqrt(2.0)
+    negative_re = ~(s.real >= 0)
+    negative_im = ~(s.imag >= 0)
+    return _QPSK_CORNERS[negative_re + 2 * negative_im.view(np.uint8)]
 
 
 def mmse_decode(y, h_hat, n0):
@@ -225,6 +231,42 @@ def mmse_decode(y, h_hat, n0):
     )
 
 
+def _sic_stages(h, n0, order=None):
+    """The MMSE combiners of every SIC stage, in one pass.
+
+    Stage s combines against the columns not decoded before it, kept in
+    index order, so stage 1 combines against H itself. The decoded
+    channel of each stage is order[s], or, when order is None, the
+    remaining channel of highest post-detection SINR (ties to the lowest
+    index). Returns (order, first, w, sinr, regularized): first holds the
+    stage-1 combiners of every channel, w[:, s] is the combiner of stage
+    s, sinr[k] the SINR of channel k at its stage, and regularized tells
+    whether the n0=0 singular guard fired at any stage.
+    """
+    n_r, n_t = h.shape
+    remaining = list(range(n_t))
+    picked = []
+    w = np.empty((n_r, n_t), dtype=complex)
+    sinr = np.empty(n_t)
+    regularized = False
+    for s in range(n_t):
+        w_s, reg = _mmse_weights(h[:, remaining], n0)
+        regularized = regularized or reg
+        stage_sinr = _post_sinr(w_s, h[:, remaining])
+        if order is None:
+            # argmax returns the first maximum; remaining is kept ascending
+            pos = int(np.argmax(stage_sinr))
+        else:
+            pos = remaining.index(order[s])
+        k = remaining.pop(pos)
+        picked.append(k)
+        if s == 0:
+            first = w_s
+        w[:, s] = w_s[:, pos]
+        sinr[k] = stage_sinr[pos]
+    return tuple(picked), first, w, sinr, regularized
+
+
 def sic_order(h_hat, n0):
     """Greedy V-BLAST ordering by maximal post-detection MMSE SINR.
 
@@ -232,54 +274,46 @@ def sic_order(h_hat, n0):
     index) is decoded and its column removed.
     """
     h = h_hat.h_hat if isinstance(h_hat, ChannelEstimate) else np.asarray(h_hat)
-    remaining = list(range(h.shape[1]))
-    order = []
-    while remaining:
-        w, _ = _mmse_weights(h[:, remaining], n0)
-        sinr = _post_sinr(w, h[:, remaining])
-        # argmax returns the first maximum; remaining is kept ascending
-        best = remaining[int(np.argmax(sinr))]
-        order.append(best)
-        remaining.remove(best)
-    return tuple(order)
+    return _sic_stages(h, n0)[0]
 
 
 def sic_decode(y, h_hat, n0, order=None):
-    """Successive interference cancellation along the given decode order.
+    """Successive interference cancellation along the given decode order
+    (greedy max-SINR when order is None).
 
-    Stage k: subtract the reconstructed already-decoded channels from y,
-    MMSE-combine against the matrix of not-yet-decoded columns, slice.
-    Stage 1 performs no cancellation and equals the MMSE soft output.
+    Stage s MMSE-combines against the not-yet-decoded columns after the
+    already-decoded channels are cancelled. The cancellation runs in
+    coefficient space: with z = W^H y for the stage combiners W and
+    c = W^H H[:, order], stage s's soft output is
+    w_s^H (y - sum_{j<s} h_j hard_j) = z_s - sum_{j<s} c_sj hard_j, so
+    the received stream is neither rebuilt nor combined again per stage.
+    Stage 1 cancels nothing; its row comes from the full product of the
+    stage-1 (MMSE) combiners with y, formed as in mmse_decode, so it
+    equals the MMSE soft output bit for bit.
     """
     y = np.asarray(y)
     h = h_hat.h_hat if isinstance(h_hat, ChannelEstimate) else np.asarray(h_hat)
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
     n_t = h.shape[1]
-    if order is None:
-        order = sic_order(h, n0)
-    if sorted(order) != list(range(n_t)):
+    if order is not None and sorted(order) != list(range(n_t)):
         raise ValueError("order must be a permutation of the transmit channels")
+    order, first, w, sinr, regularized = _sic_stages(h, n0, order)
 
-    soft = np.empty((n_t, y.shape[1]), dtype=complex)
+    # the MMSE soft output, whose row order[0] is stage 1's; the rows of
+    # later stages are replaced in turn. hard holds one row per stage.
+    soft = first.conj().T @ y
+    z = w[:, 1:].conj().T @ y
+    c = w.conj().T @ h[:, order]
     hard = np.empty_like(soft)
-    sinr = np.empty(n_t)
-    regularized = False
-    y_clean = y.copy()
-    remaining = list(range(n_t))
-    for k in order:
-        # keep remaining columns in original index order: at stage 1 the
-        # submatrix is H itself, making the soft output bit-equal to MMSE
-        w, reg = _mmse_weights(h[:, remaining], n0)
-        regularized = regularized or reg
-        pos = remaining.index(k)
-        # full matrix product keeps stage-1 arithmetic identical to
-        # mmse_decode (same BLAS path), so the outputs are bit-equal
-        soft[k] = (w.conj().T @ y_clean)[pos]
-        hard[k] = hard_decision(soft[k])
-        sinr[k] = _post_sinr(w, h[:, remaining])[pos]
-        y_clean = y_clean - np.outer(h[:, k], hard[k])
-        remaining.remove(k)
+    hard[0] = hard_decision(soft[order[0]])
+    for s in range(1, n_t):
+        soft[order[s]] = z[s - 1] - c[s, :s] @ hard[:s]
+        hard[s] = hard_decision(soft[order[s]])
     return DecodeResult(
-        soft=soft, hard=hard, order=tuple(order), sinr=sinr, regularized=regularized
+        soft=soft,
+        hard=hard[np.argsort(order)],
+        order=order,
+        sinr=sinr,
+        regularized=regularized,
     )

@@ -233,6 +233,10 @@ def assemble_frames(layout, n_channels, n_frames, delays):
         data_mask[ch] = np.roll(data_tiled, shift)
         data_bits[ch] = np.roll(bits_arr, shift, axis=0)
 
+    # one Frame serves every realization of a call: no stray write may
+    # change what the later ones transmit
+    for array in (symbols, ts_mask, pilot_mask, data_mask, data_bits):
+        array.setflags(write=False)
     return Frame(
         layout=layout,
         symbols=symbols,

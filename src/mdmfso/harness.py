@@ -4,8 +4,11 @@ Ties the pipeline together (screens -> modal coupling -> framing ->
 channel -> receive DSP), computes link metrics (BER, EVM, outage,
 scintillation index, net spectral efficiency), and emits deterministic
 CSV / JSON reports for single runs, OSNR sweeps and Monte-Carlo
-ensembles. Every coupling goes through optics.ModalCoupler, built once
-per call and reused across its screens.
+ensembles. Each entry-point call builds what its realizations share
+once: monte_carlo and sweep_osnr build one optics.ModalCoupler, through
+which every coupling goes, and one set of transmit frames; sweep_osnr
+also builds its one channel matrix. run_realization, called alone,
+builds its own.
 """
 
 from dataclasses import dataclass, asdict, fields, replace
@@ -18,7 +21,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import dsp, optics, screens
 from .optics import ModalCoupler
-from .framing import FrameLayout, assemble_frames, mode_delays, qpsk_demap
+from .framing import FrameLayout, assemble_frames, mode_delays
 
 HD_FEC_LIMIT = 4.7e-3
 DECODERS = ("mmse", "sic")
@@ -245,6 +248,15 @@ def theoretical_reference(osnr_grid, baud=channel_mod.DEFAULT_BAUD):
     return ber
 
 
+def build_frames(config):
+    """The transmit frames of the configured layout and mode delays; the
+    same for every realization and OSNR point of a config."""
+    layout = config.layout
+    return assemble_frames(
+        layout, config.n_t, config.n_frames, mode_delays(layout, len(config.tx_modes))
+    )
+
+
 def _frame_windows(frame, layout, n_frames):
     """Per frame: (slice, joint TS times, known-vector times), frame-local.
 
@@ -310,6 +322,11 @@ def decode_stream(y, frame, config, n0, h_true=None):
                 taps=config.equalizer_taps,
                 step=config.equalizer_step,
             )
+        dmask = frame.data_mask[:, sl]
+        off_data = ~dmask
+        syms = np.count_nonzero(dmask, axis=1)
+        # sent Gray bits (Im < 0, Re < 0) at data positions
+        ref_bits = frame.data_bits[:, sl]
         for name in config.decoders:
             if name == "mmse":
                 res = dsp.mmse_decode(y_c, est, n0)
@@ -317,27 +334,33 @@ def decode_stream(y, frame, config, n0, h_true=None):
                 res = dsp.sic_decode(y_c, est, n0)
             if acc[name]["order"] is None:
                 acc[name]["order"] = res.order
-            dmask = frame.data_mask[:, sl]
-            dec_bits = qpsk_demap(res.hard)
-            ref_bits = frame.data_bits[:, sl]
-            for ch in range(n_t):
-                m = dmask[ch]
-                acc[name]["bit_err"][ch] += np.sum(dec_bits[ch][m] != ref_bits[ch][m])
-                acc[name]["bits"][ch] += 2 * m.sum()
-                err = res.soft[ch][m] - frame.symbols[ch, sl][m]
-                acc[name]["err2"][ch] += np.sum(np.abs(err) ** 2)
-                acc[name]["syms"][ch] += m.sum()
+            # hard_decision sends a component >= 0 to the bit 0 and any
+            # other value (NaN too) to 1, so a decoded bit is wrong exactly
+            # where (component >= 0) equals the sent bit
+            wrong_im = ((res.soft.imag >= 0) == ref_bits[..., 0]) & dmask
+            wrong_re = ((res.soft.real >= 0) == ref_bits[..., 1]) & dmask
+            err2 = np.abs(res.soft - frame.symbols[:, sl]) ** 2
+            err2[off_data] = 0.0
+            acc[name]["bit_err"] += np.count_nonzero(wrong_im, axis=1)
+            acc[name]["bit_err"] += np.count_nonzero(wrong_re, axis=1)
+            acc[name]["bits"] += 2 * syms
+            acc[name]["err2"] += err2.sum(axis=1)
+            acc[name]["syms"] += syms
     return acc, cond
 
 
-def run_realization(config, realization=0, coupler=None, screen=None, h=None):
-    """One full pipeline pass; paired decoders share the received samples."""
+def run_realization(
+    config, realization=0, coupler=None, screen=None, h=None, frame=None
+):
+    """One full pipeline pass; paired decoders share the received samples.
+
+    coupler, screen, h and frame let a caller pass what it built once
+    (see build_channel and build_frames); each is built here when None.
+    """
     if h is None:
         h = build_channel(config, realization, coupler=coupler, screen=screen)
-    layout = config.layout
-    frame = assemble_frames(
-        layout, config.n_t, config.n_frames, mode_delays(layout, len(config.tx_modes))
-    )
+    if frame is None:
+        frame = build_frames(config)
     n0 = channel_mod.osnr_to_n0(config.osnr_db, config.baud, 1.0)
     linewidth = 0.0 if config.genie_csi else config.linewidth
     phase = channel_mod.wiener_phase(
@@ -384,10 +407,11 @@ def sweep_osnr(config, coupler=None):
     if not config.osnr_grid:
         raise ValueError("osnr_grid must be nonempty for a sweep")
     h = build_channel(config, 0, coupler=coupler)
+    frame = build_frames(config)
     rows = []
     for i, osnr in enumerate(config.osnr_grid):
         point = replace(config, osnr_db=float(osnr), seed=_seed(config.seed, 4, i))
-        reports = run_realization(point, realization=0, h=h)
+        reports = run_realization(point, realization=0, h=h, frame=frame)
         for name in config.decoders:
             rep = reports[name]
             rows.append(
@@ -443,10 +467,13 @@ def monte_carlo(config, count=None, screen_batch=None):
     if screen_batch is not None and len(screen_batch) < count:
         raise ValueError("screen_batch shorter than the realization count")
     coupler = ModalCoupler(config) if config.channel_kind != "unitary" else None
+    frame = build_frames(config)
     reports = {d: [] for d in config.decoders}
     for r in range(count):
         screen = None if screen_batch is None else screen_batch[r]
-        pipe = run_realization(config, realization=r, coupler=coupler, screen=screen)
+        pipe = run_realization(
+            config, realization=r, coupler=coupler, screen=screen, frame=frame
+        )
         for name, rep in pipe.items():
             reports[name].append(rep)
     averages = {}

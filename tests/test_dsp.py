@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
+from mdmfso import dsp
 from mdmfso.channel import IsiConfig, NoiseConfig, PhaseNoiseConfig, propagate, wiener_phase
 from mdmfso.dsp import (
     ChannelEstimate,
@@ -196,6 +197,24 @@ class TestHardDecision:
             out, np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 + 1j]) / r2
         )
 
+    def test_bits_equal_divided_formula(self):
+        # the sign-table output equals, bit for bit, the QPSK point built
+        # by dividing +-1 +- 1j by sqrt(2); negative zero counts as >= 0
+        # and NaN as negative
+        rng = np.random.default_rng(18)
+        soft = np.concatenate([
+            np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                      complex(np.nan, 1.0), complex(-1.0, np.nan),
+                      complex(np.nan, np.nan)]),
+            rng.standard_normal(993) + 1j * rng.standard_normal(993),
+        ]).reshape(10, 100)
+        expected = (
+            np.where(soft.real >= 0, 1.0, -1.0) + 1j * np.where(soft.imag >= 0, 1.0, -1.0)
+        ) / np.sqrt(2.0)
+        out = hard_decision(soft)
+        assert out.shape == soft.shape
+        np.testing.assert_array_equal(out.view(np.float64), expected.view(np.float64))
+
     @given(
         st.floats(-2, 2, allow_nan=False),
         st.floats(-2, 2, allow_nan=False),
@@ -348,3 +367,55 @@ class TestSicDecode:
         np.testing.assert_array_equal(
             bits[0], np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
         )
+
+
+def reference_sic(y, h, n0, order=None):
+    """The sequential SIC: rebuild the stream with every decoded channel
+    subtracted, then MMSE-combine the remaining columns against it."""
+    n_t = h.shape[1]
+    if order is None:
+        remaining = list(range(n_t))
+        order = []
+        while remaining:
+            w, _ = dsp._mmse_weights(h[:, remaining], n0)
+            best = remaining[int(np.argmax(dsp._post_sinr(w, h[:, remaining])))]
+            order.append(best)
+            remaining.remove(best)
+    soft = np.empty((n_t, y.shape[1]), dtype=complex)
+    hard = np.empty_like(soft)
+    sinr = np.empty(n_t)
+    regularized = False
+    y_clean = y.copy()
+    remaining = list(range(n_t))
+    for k in order:
+        w, reg = dsp._mmse_weights(h[:, remaining], n0)
+        regularized = regularized or reg
+        pos = remaining.index(k)
+        soft[k] = (w.conj().T @ y_clean)[pos]
+        hard[k] = hard_decision(soft[k])
+        sinr[k] = dsp._post_sinr(w, h[:, remaining])[pos]
+        y_clean = y_clean - np.outer(h[:, k], hard[k])
+        remaining.remove(k)
+    return soft, hard, tuple(order), sinr, regularized
+
+
+@pytest.mark.parametrize("n0", [0.05, 0.0])
+@pytest.mark.parametrize("explicit_order", [False, True], ids=["greedy", "given"])
+def test_sic_matches_sequential_reference(n0, explicit_order):
+    # coefficient-space cancellation against the stream-rebuilding SIC on
+    # 12x10 channels; n0 = 0 takes the regularized path (rank H H^H < 12)
+    rng = np.random.default_rng(19)
+    for trial in range(50):
+        h = random_channel(rng, 12, 10)
+        s = QPSK[rng.integers(0, 4, (10, 300))]
+        y = propagate(s, h, None, NoiseConfig(n0=0.05, seed=trial))
+        order = tuple(int(k) for k in rng.permutation(10)) if explicit_order else None
+        soft, hard, ref_order, sinr, regularized = reference_sic(y, h, n0, order)
+        res = sic_decode(y, h, n0, order=order)
+        assert res.order == ref_order
+        assert res.regularized == regularized == (n0 == 0.0)
+        np.testing.assert_array_equal(res.sinr, sinr)
+        np.testing.assert_array_equal(res.hard, hard)
+        np.testing.assert_allclose(res.soft, soft, rtol=0, atol=1e-12)
+        if not explicit_order:
+            assert sic_order(h, n0) == ref_order

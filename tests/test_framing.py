@@ -179,6 +179,15 @@ class TestAssembly:
         )
         assert not frame.data_bits[ch][~mask].any()
 
+    @pytest.mark.parametrize(
+        "name", ["symbols", "ts_mask", "pilot_mask", "data_mask", "data_bits"]
+    )
+    def test_arrays_read_only(self, frame, name):
+        # one Frame is shared by every realization of a call
+        array = getattr(frame, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = array[0, 1]
+
     def test_duplicate_delay_rejected(self):
         with pytest.raises(ValueError, match="correlate"):
             assemble_frames(LAYOUT, 4, 1, [0, 0, 0, 0])

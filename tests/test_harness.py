@@ -3,18 +3,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mdmfso
-from mdmfso import screens
+from mdmfso import channel, dsp, harness, screens
 from mdmfso.cli import main as cli_main
+from mdmfso.framing import assemble_frames, qpsk_demap
 from mdmfso.harness import (
     ExperimentConfig,
     RunReport,
     ber_histogram,
     build_channel,
+    decode_stream,
     line_rate,
     monte_carlo,
     net_spectral_efficiency,
@@ -252,6 +255,92 @@ class TestPipeline:
         rows = sweep_osnr(cfg)
         mmse = {r["osnr_db"]: r["ber_bound"] for r in rows if r["decoder"] == "mmse"}
         assert mmse[14.0] < mmse[8.0]
+
+
+class TestSharedWork:
+    @pytest.fixture()
+    def assemble_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return assemble_frames(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "assemble_frames", counting)
+        return calls
+
+    def test_sweep_assembles_frames_once(self, assemble_calls):
+        cfg = ExperimentConfig(**FAST, channel_kind="unitary", osnr_grid=(10.0, 14.0, 18.0))
+        assert len(sweep_osnr(cfg)) == 6
+        assert len(assemble_calls) == 1
+
+    def test_monte_carlo_assembles_frames_once(self, assemble_calls):
+        cfg = ExperimentConfig(**FAST, channel_kind="unitary", osnr_db=18.0)
+        assert len(monte_carlo(cfg).reports["sic"]) == 2
+        assert len(assemble_calls) == 1
+
+
+def reference_scores(frame, config, results):
+    """decode_stream's accumulators by the per-channel loop, from the
+    decoder results of each frame window in call order."""
+    n_t = config.n_t
+    acc = {d: {k: np.zeros(n_t) for k in ("bit_err", "bits", "err2", "syms")}
+           for d in config.decoders}
+    windows = harness._frame_windows(frame, config.layout, config.n_frames)
+    calls = iter(results)
+    for sl, _, _ in windows:
+        for name in config.decoders:
+            res = next(calls)
+            dmask = frame.data_mask[:, sl]
+            dec_bits = qpsk_demap(res.hard)
+            ref_bits = frame.data_bits[:, sl]
+            for ch in range(n_t):
+                m = dmask[ch]
+                acc[name]["bit_err"][ch] += np.sum(dec_bits[ch][m] != ref_bits[ch][m])
+                acc[name]["bits"][ch] += 2 * m.sum()
+                err = res.soft[ch][m] - frame.symbols[ch, sl][m]
+                acc[name]["err2"][ch] += np.sum(np.abs(err) ** 2)
+                acc[name]["syms"][ch] += m.sum()
+    return acc
+
+
+@pytest.mark.parametrize("thinned", [False, True], ids=["assembled", "thinned"])
+def test_scoring_matches_per_channel_loop(monkeypatch, thinned):
+    cfg = ExperimentConfig(**{**FAST, "n_frames": 2})
+    layout = cfg.layout
+    # mode 1's rolled training sequence straddles every frame-window edge
+    split = layout.frame_len - layout.ts_len // 2
+    frame = assemble_frames(layout, cfg.n_t, cfg.n_frames, [0, 0, split, split])
+    assert frame.ts_mask[2, 0] and frame.ts_mask[2, layout.frame_len - 1]
+    if thinned:
+        # every window's data count is the same on every channel of an
+        # assembled frame (the roll keeps the per-frame pattern); drop
+        # some of channel 1's data so that the counts differ
+        mask = frame.data_mask.copy()
+        mask[1, :3000] = False
+        frame = replace(frame, data_mask=mask)
+    rng = np.random.default_rng(20)
+    h = (rng.standard_normal((cfg.n_r, cfg.n_t))
+         + 1j * rng.standard_normal((cfg.n_r, cfg.n_t))) / np.sqrt(2 * cfg.n_t)
+    n0 = 0.15
+    y = channel.propagate(frame, h, None, channel.NoiseConfig(n0=n0, seed=21))
+
+    results = []
+    for name in ("mmse_decode", "sic_decode"):
+        def recording(*args, _decode=getattr(dsp, name), **kwargs):
+            results.append(_decode(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(dsp, name, recording)
+    acc, _ = decode_stream(y, frame, cfg, n0)
+    expected = reference_scores(frame, cfg, results)
+    for name in cfg.decoders:
+        assert acc[name]["bit_err"].sum() > 0
+        for key in ("bit_err", "bits", "syms"):
+            np.testing.assert_array_equal(acc[name][key], expected[name][key])
+        np.testing.assert_allclose(acc[name]["err2"], expected[name]["err2"], rtol=1e-12)
+    if thinned:
+        assert len(set(acc["sic"]["syms"])) == 2
 
 
 class TestHistogram:
