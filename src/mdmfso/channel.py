@@ -127,7 +127,14 @@ def propagate(frame, h, phase, noise, isi=None):
 
     y = h_mat @ shaped
     if phase is not None:
-        y = np.exp(1j * phase) * y
+        # exp(1j * phase) as cos + j sin, bit for bit; the + 0.0 gives
+        # sin(-0.0) the +0.0 imaginary part that exp(1j * -0.0) has
+        rot = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=rot.real)
+        np.sin(phase, out=rot.imag)
+        rot.imag += 0.0
+        rot *= y
+        y = rot
     if noise is not None and noise.n0 > 0:
         rng = np.random.default_rng(np.random.SeedSequence(noise.seed))
         y = y + np.sqrt(noise.n0 / 2.0) * (

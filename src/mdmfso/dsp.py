@@ -117,13 +117,23 @@ def estimate_phase(y, pilot_times, pilot_symbols, h_hat, window=8):
 
 
 def cancel_phase(y_r, phase_estimate):
-    """Rotate the received streams by the conjugate phase trajectory."""
+    """Rotate the received streams by the conjugate phase trajectory (of
+    the same shape as y_r)."""
     phi = (
         phase_estimate.trajectory
         if isinstance(phase_estimate, PhaseEstimate)
         else np.asarray(phase_estimate)
     )
-    return np.asarray(y_r) * np.exp(-1j * phi)
+    # exp(-1j * phi) as cos - j sin, bit for bit. Complex products are
+    # not bitwise commutative; the phasor comes first, the order in
+    # which numpy evaluated the former y_r * np.exp(-1j * phi) on
+    # streams past its 256 KiB temporary-elision size.
+    rot = np.empty(np.shape(phi), dtype=complex)
+    np.cos(phi, out=rot.real)
+    np.sin(phi, out=rot.imag)
+    np.negative(rot.imag, out=rot.imag)
+    rot *= np.asarray(y_r)
+    return rot
 
 
 def _shift_stack(y, taps):

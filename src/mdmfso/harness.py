@@ -107,6 +107,11 @@ class ExperimentConfig:
             raise ValueError("channel_kind must be turbulent, blank or unitary")
         if self.n_frames < 1 or self.realizations < 1:
             raise ValueError("n_frames and realizations must be >= 1")
+        if self.aperture_diameter > self.physical_length:
+            raise ValueError(
+                f"config aperture_diameter={self.aperture_diameter!r} exceeds "
+                f"the raster's physical_length={self.physical_length!r}"
+            )
         if not set(self.tx_modes) <= set(optics.LP_TO_LG):
             raise ValueError("unknown transmit mode label")
         if not set(self.rx_modes) <= set(optics.LP_TO_LG):
@@ -531,11 +536,14 @@ def power_statistics(powers):
 
 def scintillation_stats(screen_list, config, coupler=None):
     """power_statistics of the captured-power proxy of each screen (see
-    ModalCoupler.captured_power)."""
+    ModalCoupler.captured_power), computed on worker threads in screen
+    order."""
     check_stats_count(len(screen_list))
     if coupler is None:
         coupler = ModalCoupler(config)
-    return power_statistics([coupler.captured_power(s) for s in screen_list])
+    return power_statistics(
+        list(screens._ordered_map(coupler.captured_power, screen_list))
+    )
 
 
 def net_spectral_efficiency(

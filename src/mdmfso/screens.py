@@ -14,16 +14,22 @@ coefficient prefactor carries an extra 2**(5/6); the net amplitude
 calibration applied to the real part is therefore 2**(-1/3).
 """
 
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
 import json
+import os
 import struct
 
 import numpy as np
 
 # amplitude calibration of the real-part synthesis, see module docstring
 SYNTHESIS_GAIN = 2.0 ** (-1.0 / 3.0)
+
+# ensemble members run on at most this many threads; each member in
+# flight holds a few raster-sized temporaries, so the cap bounds memory
+MAX_WORKERS = 4
 
 MAGIC = b"PHSCRN01"
 _HEADER = struct.Struct("<IddddQ")
@@ -110,18 +116,9 @@ def vonkarman_coefficients(config, level, rng_draws):
     draws = np.asarray(rng_draws)
     if not np.all(np.isfinite(draws)):
         raise ValueError("rng_draws must be finite")
-    fx, fy = _frequency_grid(config, level)
-    if draws.shape != fx.shape:
-        raise ValueError(f"rng_draws shape {draws.shape} != grid shape {fx.shape}")
-    df = 1.0 / (3.0 ** level * config.physical_length)
-    f2 = fx ** 2 + fy ** 2
-    amp = (
-        np.sqrt(0.023)
-        * df
-        * (2.0 / config.fried) ** (5.0 / 6.0)
-        * (f2 + 1.0 / config.outer_scale ** 2) ** (-11.0 / 12.0)
-        * np.exp(-f2 * (2.0 * np.pi * config.inner_scale / 5.92) ** 2 / 2.0)
-    )
+    amp = _amplitude(config, level)
+    if draws.shape != amp.shape:
+        raise ValueError(f"rng_draws shape {draws.shape} != grid shape {amp.shape}")
     c = draws * amp
     if level == 0:
         c[0, 0] = 0.0
@@ -130,11 +127,61 @@ def vonkarman_coefficients(config, level, rng_draws):
     return c
 
 
+def _amplitude(config, level):
+    """Coefficient magnitude on the level's frequency grid (see
+    vonkarman_coefficients); the one copy of the spectrum expression."""
+    fx, fy = _frequency_grid(config, level)
+    df = 1.0 / (3.0 ** level * config.physical_length)
+    f2 = fx ** 2 + fy ** 2
+    return (
+        np.sqrt(0.023)
+        * df
+        * (2.0 / config.fried) ** (5.0 / 6.0)
+        * (f2 + 1.0 / config.outer_scale ** 2) ** (-11.0 / 12.0)
+        * np.exp(-f2 * (2.0 * np.pi * config.inner_scale / 5.92) ** 2 / 2.0)
+    )
+
+
+@lru_cache(maxsize=8)
+def _level0(config):
+    """Seed-independent level-0 weights of generate_screen, cached per
+    geometry and spectrum (config with seed and subharmonic_levels zeroed).
+
+    Returns (amp, cells, corr): the level-0 amplitude with the coordinate
+    sign (-1)^(i + j) of pixel-center coordinates folded in, the np.ix_
+    index of the low-frequency block, and that block's sampling
+    correction. The correction is exactly 1 outside the block. Folding
+    the sign in is exact: a product with -1 only flips a sign bit, so
+    draws * (amp * sign) * corr has the bits of draws * amp * corr * sign.
+    All three are read-only.
+    """
+    n = config.grid_size
+    sign = 1.0 - 2.0 * (np.arange(n) % 2)  # index and fft frequency share parity
+    amp = _amplitude(config, 0)
+    amp *= sign[None, :]
+    amp *= sign[:, None]
+    low = _low_cells(n)
+    cells = np.ix_(low, low)
+    corr = _sampling_correction(
+        n, config.physical_length, config.outer_scale, config.inner_scale, 0
+    )
+    for a in (amp, *cells):
+        a.flags.writeable = False
+    return amp, cells, corr
+
+
 def _spectrum_shape(f2, outer_scale, inner_scale):
     """Frequency-dependent part of the phase PSD (r0 scaling factors out)."""
     return (f2 + 1.0 / outer_scale ** 2) ** (-11.0 / 6.0) * np.exp(
         -f2 * (2.0 * np.pi * inner_scale / 5.92) ** 2
     )
+
+
+def _low_cells(grid_size):
+    """Level-0 rows (and columns) whose frequency index |k| <= 8: the
+    cells that carry a sampling correction."""
+    idx = np.round(np.fft.fftfreq(grid_size, d=1.0 / grid_size)).astype(int)
+    return np.flatnonzero(np.abs(idx) <= 8)
 
 
 @lru_cache(maxsize=64)
@@ -147,20 +194,17 @@ def _sampling_correction(grid_size, physical_length, outer_scale, inner_scale, l
     reweighted to carry its cell's f^2-weighted PSD integral (the
     structure-function kernel 1-cos(2 pi f r) grows as f^2 over these
     cells), i.e. weight = sqrt(mean of PSD*f^2 over the cell / value at
-    the center). Cells with index > 8 are flat enough to leave alone.
+    the center). Cells with index > 8 are flat enough to leave alone:
+    level 0 returns only the block of _low_cells (the weight is 1
+    elsewhere), level p >= 1 the whole 3x3 grid. The result is read-only.
     """
     nodes, wts = np.polynomial.legendre.leggauss(8)
     if level == 0:
         df = 1.0 / physical_length
         idx = np.round(np.fft.fftfreq(grid_size, d=1.0 / grid_size)).astype(int)
-        cut = 8
-        corr = np.ones((grid_size, grid_size))
-        small = np.flatnonzero(np.abs(idx) <= cut)
-        centers = idx[small] * df
+        centers = idx[_low_cells(grid_size)] * df
     else:
         df = 1.0 / (3.0 ** level * physical_length)
-        corr = np.ones((3, 3))
-        small = np.arange(3)
         centers = np.array([-1.0, 0.0, 1.0]) * df
     # tensor quadrature over each df x df cell
     off = 0.5 * df * nodes
@@ -173,22 +217,26 @@ def _sampling_correction(grid_size, physical_length, outer_scale, inner_scale, l
     )
     fc2 = centers[:, None] ** 2 + centers[None, :] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        block = np.sqrt(
+        corr = np.sqrt(
             mean / (_spectrum_shape(fc2, outer_scale, inner_scale) * fc2)
         )
-    block[fc2 == 0.0] = 1.0  # origin cell is zeroed by the caller anyway
-    if level == 0:
-        corr[np.ix_(small, small)] = block
-        corr[0, 0] = 1.0
-    else:
-        corr = block
-        corr[1, 1] = 1.0
+    corr[fc2 == 0.0] = 1.0  # origin cell is zeroed by the caller anyway
+    corr.flags.writeable = False
     return corr
 
 
 def _complex_draws(rng, shape):
-    """Zero-mean unit-variance complex circular Gaussian array."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Zero-mean unit-variance complex circular Gaussian array.
+
+    Real parts are drawn first, then imaginary parts; writing them into
+    .real/.imag gives the bits of (re + 1j * im) / sqrt(2) without its
+    two complex temporaries.
+    """
+    c = np.empty(shape, dtype=complex)
+    c.real = rng.standard_normal(shape)
+    c.imag = rng.standard_normal(shape)
+    c /= np.sqrt(2.0)
+    return c
 
 
 def generate_screen(config):
@@ -196,21 +244,23 @@ def generate_screen(config):
 
     Real part of the inverse Fourier synthesis of the level-0 grid plus
     the subharmonic sums on pixel-center coordinates x, y in [-L/2, L/2),
-    piston removed.
+    piston removed. The coordinates x_j = (j - N/2) * pitch fold the -L/2
+    offset into the level-0 coefficients as the sign exp(-j pi n_int),
+    which _level0 carries in its amplitude.
     """
     n = config.grid_size
     length = config.physical_length
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
-    c0 = vonkarman_coefficients(config, 0, _complex_draws(rng, (n, n)))
-    c0 *= _sampling_correction(
-        n, length, config.outer_scale, config.inner_scale, 0
-    )
-    # coordinates x_j = (j - N/2) * pitch: fold the -L/2 offset into the
-    # coefficients as exp(-j pi n_int) before the inverse FFT
-    n_int = np.fft.fftfreq(n, d=1.0 / n)
-    sign = np.where(np.round(n_int).astype(int) % 2 == 0, 1.0, -1.0)
-    raster = np.real(np.fft.ifft2(c0 * sign[None, :] * sign[:, None]) * n * n)
+    amp, cells, corr = _level0(replace(config, seed=0, subharmonic_levels=0))
+    c0 = _complex_draws(rng, (n, n))
+    c0 *= amp
+    c0[0, 0] = 0.0
+    c0[cells] *= corr
+    # the association of ifft2(c0) * n * n, on the real part only
+    raster = np.fft.ifft2(c0, out=c0).real * n
+    raster *= n
+    del c0
 
     coords = (np.arange(n) - n // 2) * config.pitch
     for level in range(1, config.subharmonic_levels + 1):
@@ -234,17 +284,54 @@ def sub_seed(seed, index):
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _ordered_map(fn, items):
+    """Yield fn(item) for each item, in input order, computed on up to
+    min(usable CPUs, MAX_WORKERS) threads.
+
+    Only the calling thread pulls from items, and at most one item per
+    worker is pulled ahead of the result being yielded. A worker's
+    exception re-raises here, and closing the generator cancels what has
+    not started and waits for the rest. Results do not depend on the
+    worker count as long as fn does not depend on the order of calls.
+    """
+    workers = min(_usable_cpus(), MAX_WORKERS)
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def iter_screens(config, count):
     """Stream the ensemble of config as (member config, screen) pairs.
 
     Member i is config with seed sub_seed(config.seed, i); this is the
     one place that rule lives. The count is checked before any screen
-    is generated.
+    is generated. Members are synthesized ahead on worker threads (see
+    _ordered_map) and come out in member order.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     members = (replace(config, seed=sub_seed(config.seed, i)) for i in range(count))
-    return ((member, generate_screen(member)) for member in members)
+    return _ordered_map(lambda member: (member, generate_screen(member)), members)
 
 
 def batch_generate(config, count):
@@ -258,7 +345,9 @@ def structure_function(screens, separations):
     Averages [phi(x+r) - phi(x)]^2 over screens, both raster axes and all
     positions, for each separation r (a multiple of the pixel pitch,
     smaller than half the screen). `screens` may be any iterable, such
-    as an iter_screens stream, and is read once.
+    as an iter_screens stream, and is read once. Each screen's terms are
+    computed on worker threads and summed in screen order, so the result
+    does not depend on the worker count.
     """
     stream = iter(screens)
     first = next(stream, None)
@@ -276,15 +365,21 @@ def structure_function(screens, separations):
             raise ValueError(f"separation {r} must be below L/2 = {length / 2.0}")
         shifts.append(k_int)
     rs = np.array([k * pitch for k in shifts])
-    d = np.zeros(len(shifts))
-    stream = chain([first], stream)
-    del first  # hold one screen at a time
-    for count, screen in enumerate(stream, start=1):
+
+    def terms(screen):
         phi = screen.raster
+        out = np.empty(len(shifts))
         for i, k in enumerate(shifts):
             dx = phi[:, k:] - phi[:, :-k]
             dy = phi[k:, :] - phi[:-k, :]
-            d[i] += 0.5 * (np.mean(dx ** 2) + np.mean(dy ** 2))
+            out[i] = 0.5 * (np.mean(dx ** 2) + np.mean(dy ** 2))
+        return out
+
+    d = np.zeros(len(shifts))
+    stream = chain([first], stream)
+    del first  # hold only the screens in flight
+    for count, t in enumerate(_ordered_map(terms, stream), start=1):
+        d += t
     return rs, d / count
 
 
@@ -323,17 +418,32 @@ def write_screen(path, screen, config):
 
 
 def read_screen(path):
-    """Read a PHSCRN01 file; returns (PhaseScreen, header dict)."""
+    """Read a PHSCRN01 file; returns (PhaseScreen, header dict).
+
+    A file that is not exactly magic, header and a grid_size^2 float64
+    raster, or whose header has a zero grid size or a pitch that is not
+    a positive finite number, raises ValueError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        grid_size, pitch, fried, outer, inner, seed = _HEADER.unpack(
-            fh.read(_HEADER.size)
-        )
-        raster = np.frombuffer(
-            fh.read(grid_size * grid_size * 8), dtype="<f8"
-        ).reshape(grid_size, grid_size)
+        head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ValueError(f"truncated header: {len(head)} of {_HEADER.size} bytes")
+        grid_size, pitch, fried, outer, inner, seed = _HEADER.unpack(head)
+        if grid_size == 0:
+            raise ValueError("zero grid size in header")
+        if not (np.isfinite(pitch) and pitch > 0.0):
+            raise ValueError(f"pitch {pitch!r} in header is not a positive finite number")
+        expected = grid_size * grid_size * 8
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < expected:
+            raise ValueError(f"truncated raster: {left} of {expected} bytes")
+        if left > expected:
+            raise ValueError(f"{left - expected} trailing bytes after the raster")
+        data = fh.read(expected)
+    raster = np.frombuffer(data, dtype="<f8").reshape(grid_size, grid_size)
     header = {
         "grid_size": grid_size,
         "pitch": pitch,

@@ -117,6 +117,21 @@ class TestPropagate:
         y = propagate(s, np.eye(2), phase, None)
         np.testing.assert_allclose(y, np.exp(0.5j) * s)
 
+    def test_phasor_bits_equal_complex_exp(self):
+        # the cos/sin phasor reproduces exp(1j * phase) * y bit for bit,
+        # signed zeros and phases far outside [-pi, pi] included
+        rng = np.random.default_rng(11)
+        walk = wiener_phase(20000, 3, PhaseNoiseConfig(linewidth=1e5, baud=DEFAULT_BAUD, seed=2))
+        wide = rng.standard_normal((3, 20000)) * np.array([[1e3], [1e9], [1e17]])
+        phase = np.concatenate([walk, wide], axis=1)
+        phase[:, :6] = [0.0, -0.0, np.pi, -np.pi, 1e300, -1e300]
+        s = rng.standard_normal((2, phase.shape[1])) + 1j * rng.standard_normal((2, phase.shape[1]))
+        h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        y = propagate(s, h, phase, None)
+        assert np.array_equal(y.view(np.uint64), (np.exp(1j * phase) * (h @ s)).view(np.uint64))
+        ones = propagate(np.ones((1, phase.shape[1]), complex), np.ones((3, 1)), phase, None)
+        assert np.array_equal(ones.view(np.uint64), np.exp(1j * phase).view(np.uint64))
+
     def test_noise_variance(self):
         s = np.zeros((2, 200000), dtype=complex)
         y = propagate(s, np.eye(2), None, NoiseConfig(n0=0.04, seed=9))

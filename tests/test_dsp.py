@@ -146,6 +146,23 @@ class TestCancelPhase:
         y = np.ones((2, 5), dtype=complex)
         np.testing.assert_array_equal(cancel_phase(y, np.zeros((2, 5))), y)
 
+    def test_phasor_bits_equal_complex_exp(self):
+        # the cos/sin phasor reproduces y * exp(-1j * phi) bit for bit,
+        # signed zeros and phases far outside [-pi, pi] included
+        rng = np.random.default_rng(12)
+        walk = wiener_phase(20000, 3, PhaseNoiseConfig(linewidth=1e5, baud=34.46e9, seed=4))
+        wide = rng.standard_normal((3, 20000)) * np.array([[1e3], [1e9], [1e17]])
+        phi = np.concatenate([walk, wide], axis=1)
+        phi[:, :6] = [0.0, -0.0, np.pi, -np.pi, 1e300, -1e300]
+        y = rng.standard_normal(phi.shape) + 1j * rng.standard_normal(phi.shape)
+        for y_r in (y, np.ones(phi.shape, complex)):
+            # the former y_r * np.exp(-1j * phi), as numpy evaluated it on
+            # streams this size: in place in the exponential's temporary,
+            # phasor first (complex products are not bitwise commutative)
+            old = np.exp(-1j * phi)
+            old *= y_r
+            assert np.array_equal(cancel_phase(y_r, phi).view(np.uint64), old.view(np.uint64))
+
 
 class TestEqualize:
     def test_memoryless_near_identity(self):

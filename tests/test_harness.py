@@ -84,6 +84,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    def test_aperture_larger_than_raster_rejected(self):
+        with pytest.raises(ValueError, match="config aperture_diameter=0.009 exceeds"):
+            ExperimentConfig(aperture_diameter=9e-3)
+        with pytest.raises(ValueError, match="config aperture_diameter"):
+            ExperimentConfig(physical_length=8e-3)
+        assert ExperimentConfig(aperture_diameter=8.832e-3).aperture_diameter == 8.832e-3
+
     def test_infinite_osnr_valid(self):
         assert ExperimentConfig(osnr_db=float("inf")).osnr_db == float("inf")
 
@@ -183,6 +190,17 @@ class TestScintillation:
         cfg = ExperimentConfig(**FAST)
         with pytest.raises(ValueError, match="at least 30"):
             scintillation_stats([], cfg)
+
+    def test_stats_independent_of_worker_count(self, monkeypatch):
+        cfg = ExperimentConfig(**FAST)
+        batch = screens.batch_generate(cfg.screen_config(), 30)
+        monkeypatch.setattr(screens, "_usable_cpus", lambda: 8)
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(screens, "MAX_WORKERS", workers)
+            runs.append(scintillation_stats(batch, cfg))
+        assert np.array_equal(runs[0]["powers"], runs[1]["powers"])
+        assert runs[0]["scintillation_index"] == runs[1]["scintillation_index"]
 
     def test_stats_on_small_ensemble(self):
         cfg = ExperimentConfig(**FAST)
@@ -481,6 +499,15 @@ class TestCli:
         payload = json.loads((out / "scintillation.json").read_text())
         assert payload["screens"] == 30
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stats_golden_at_any_worker_count(self, tmp_path, config_file, monkeypatch, workers):
+        monkeypatch.setattr(screens, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(screens, "MAX_WORKERS", workers)
+        out = tmp_path / "stats"
+        argv = ["stats", "--config", config_file, "--count", "30", "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert hashes(out) == GOLDEN["stats"]
+
     def test_seed_and_decoder_override(self, tmp_path, config_file):
         out = tmp_path / "ovr"
         rc = cli_main(
@@ -524,14 +551,14 @@ class TestCli:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported only by the functions that use it, so that
-    # importing the package (every CLI run) stays cheap
+    # scipy and the thread pool are imported only by the functions that
+    # use them, so that importing the package (every CLI run) stays cheap
     src = os.path.dirname(os.path.dirname(os.path.abspath(mdmfso.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     code = (
         "import sys, mdmfso; "
         "print(sorted(m for m in sys.modules if m.startswith(("
-        "'scipy.signal', 'scipy.stats', 'scipy.special'))))"
+        "'scipy.signal', 'scipy.stats', 'scipy.special', 'concurrent.futures'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

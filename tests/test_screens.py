@@ -1,5 +1,9 @@
+import itertools
 import json
 import struct
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +168,199 @@ class TestGeneration:
             PhaseScreen(raster=bad, pitch=1e-5)
 
 
+def reference_correction(n, length, outer, inner, level):
+    # the full-raster sampling correction generate_screen applied before
+    # the level-0 weights were cached as a block
+    def shape(f2):
+        return (f2 + 1.0 / outer ** 2) ** (-11.0 / 6.0) * np.exp(
+            -f2 * (2.0 * np.pi * inner / 5.92) ** 2
+        )
+
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+    if level == 0:
+        df = 1.0 / length
+        idx = np.round(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+        corr = np.ones((n, n))
+        small = np.flatnonzero(np.abs(idx) <= 8)
+        centers = idx[small] * df
+    else:
+        df = 1.0 / (3.0 ** level * length)
+        corr = np.ones((3, 3))
+        small = np.arange(3)
+        centers = np.array([-1.0, 0.0, 1.0]) * df
+    off = 0.5 * df * nodes
+    w2 = np.outer(wts, wts) / 4.0
+    fx = centers[:, None, None, None] + off[None, :, None, None]
+    fy = centers[None, None, :, None] + off[None, None, None, :]
+    f2 = fx ** 2 + fy ** 2
+    mean = np.einsum("aqbp,qp->ab", shape(f2) * f2, w2)
+    fc2 = centers[:, None] ** 2 + centers[None, :] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block = np.sqrt(mean / (shape(fc2) * fc2))
+    block[fc2 == 0.0] = 1.0
+    if level == 0:
+        corr[np.ix_(small, small)] = block
+        corr[0, 0] = 1.0
+    else:
+        corr = block
+        corr[1, 1] = 1.0
+    return corr
+
+
+def reference_screen(config):
+    # the synthesis as written before the level-0 weights were cached:
+    # full-raster correction, separate sign flips, complex scaling
+    n, length = config.grid_size, config.physical_length
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+
+    def draws(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    def coefficients(level, fx, fy, w):
+        df = 1.0 / (3.0 ** level * length)
+        c = w * vk_amplitude(fx ** 2 + fy ** 2, config, df)
+        c[(0, 0) if level == 0 else (1, 1)] = 0.0
+        return c * reference_correction(n, length, config.outer_scale, config.inner_scale, level)
+
+    f1 = np.fft.fftfreq(n, d=config.pitch)
+    c0 = coefficients(0, *np.meshgrid(f1, f1), draws((n, n)))
+    n_int = np.fft.fftfreq(n, d=1.0 / n)
+    sign = np.where(np.round(n_int).astype(int) % 2 == 0, 1.0, -1.0)
+    raster = np.real(np.fft.ifft2(c0 * sign[None, :] * sign[:, None]) * n * n)
+    coords = (np.arange(n) - n // 2) * config.pitch
+    for level in range(1, config.subharmonic_levels + 1):
+        fvals = np.array([-1.0, 0.0, 1.0]) / (3.0 ** level * length)
+        c = coefficients(level, *np.meshgrid(fvals, fvals), draws((3, 3)))
+        ex = np.exp(2j * np.pi * np.outer(coords, fvals))
+        raster += np.real(ex @ c @ ex.T)
+    raster *= screens.SYNTHESIS_GAIN
+    raster -= raster.mean()
+    return raster
+
+
+class TestSynthesisReference:
+    @pytest.mark.parametrize("levels", [0, 8])
+    @pytest.mark.parametrize("grid", [16, 128, 960])
+    def test_bits_equal_reference(self, grid, levels):
+        seeds = (0, 7, sub_seed(5, 3)) if grid < 960 else (1, sub_seed(9, 0))
+        for seed in seeds:
+            cfg = ScreenConfig(fried=0.8e-3, grid_size=grid, subharmonic_levels=levels, seed=seed)
+            raster = generate_screen(cfg).raster
+            assert raster.flags.c_contiguous
+            assert np.array_equal(raster.view(np.uint64), reference_screen(cfg).view(np.uint64))
+
+    def test_cached_weights_read_only(self):
+        generate_screen(SMALL)
+        amp, cells, corr = screens._level0(replace(SMALL, seed=0, subharmonic_levels=0))
+        assert amp.shape == (128, 128) and corr.shape == (17, 17)
+        for a in (amp, *cells, corr, screens._sampling_correction(
+            128, SMALL.physical_length, SMALL.outer_scale, SMALL.inner_scale, 1
+        )):
+            assert not a.flags.writeable
+
+
+@pytest.fixture()
+def set_workers(monkeypatch):
+    """Set the worker count of screens._ordered_map to n, whatever the CPUs."""
+    monkeypatch.setattr(screens, "_usable_cpus", lambda: 8)
+
+    def set_to(n):
+        monkeypatch.setattr(screens, "MAX_WORKERS", n)
+
+    return set_to
+
+
+class TestOrderedMap:
+    def test_input_order(self, set_workers):
+        set_workers(3)
+
+        def slow_first(i):
+            threading.Event().wait(0.02 if i % 3 == 0 else 0.0)
+            return i * i
+
+        assert list(screens._ordered_map(slow_first, range(20))) == [i * i for i in range(20)]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pulls_at_most_workers_ahead(self, set_workers, workers):
+        set_workers(workers)
+        pulled = []
+
+        def items():
+            for i in itertools.count():
+                pulled.append(i)
+                yield i
+
+        stream = screens._ordered_map(lambda i: i, items())
+        assert next(stream) == 0
+        assert len(pulled) == workers
+        assert next(stream) == 1
+        assert len(pulled) == workers + 1
+        stream.close()
+
+    def test_worker_exception_reraises(self, set_workers):
+        set_workers(3)
+
+        def fail_on_4(i):
+            if i == 4:
+                raise RuntimeError("member 4")
+            return i
+
+        out = []
+        with pytest.raises(RuntimeError, match="member 4"):
+            for value in screens._ordered_map(fail_on_4, range(10)):
+                out.append(value)
+        assert out == [0, 1, 2, 3]
+
+    def test_close_shuts_pool_down(self, set_workers):
+        set_workers(3)
+        before = threading.active_count()
+        stream = screens._ordered_map(lambda i: i, itertools.count())
+        assert [next(stream) for _ in range(5)] == [0, 1, 2, 3, 4]
+        stream.close()
+        assert threading.active_count() == before
+
+
+class TestWorkerInvariance:
+    CFG = ScreenConfig(fried=0.8e-3, grid_size=128, subharmonic_levels=8, seed=21)
+
+    def test_ensemble(self, set_workers):
+        runs = []
+        for workers in (1, 3):
+            set_workers(workers)
+            streamed = list(iter_screens(self.CFG, 7))
+            listed = batch_generate(self.CFG, 7)
+            assert [m.seed for m, _ in streamed] == [sub_seed(21, i) for i in range(7)]
+            for (_, a), b in zip(streamed, listed):
+                assert np.array_equal(a.raster, b.raster)
+            runs.append(np.stack([s.raster for s in listed]))
+        assert np.array_equal(runs[0].view(np.uint64), runs[1].view(np.uint64))
+
+    def test_cold_cache_race(self, set_workers):
+        # more workers than cores, a short switch interval and cold caches:
+        # the first members race to build the cached level-0 weights
+        expected = [generate_screen(replace(self.CFG, seed=sub_seed(21, i))) for i in range(8)]
+        set_workers(6)
+        screens._level0.cache_clear()
+        screens._sampling_correction.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [s for _, s in iter_screens(self.CFG, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(expected, got, strict=True):
+            assert np.array_equal(a.raster.view(np.uint64), b.raster.view(np.uint64))
+
+    def test_structure_function(self, set_workers):
+        seps = np.array([1, 3, 5, 9, 20]) * self.CFG.pitch
+        results = []
+        for workers in (1, 3):
+            set_workers(workers)
+            rs, d = structure_function((s for _, s in iter_screens(self.CFG, 9)), seps)
+            results.append(d)
+        assert np.array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
+
+
 class TestStructureFunction:
     def test_pure_tilt(self):
         # phi = a*x has D(r) = a^2 r^2 exactly along x, 0 along y
@@ -225,6 +422,37 @@ class TestFileFormat:
         meta = json.loads((tmp_path / "s.phs.json").read_text())
         assert meta["subharmonic_levels"] == 3
         assert meta["physical_length"] == SMALL.physical_length
+
+    @pytest.fixture()
+    def valid_file(self, tmp_path):
+        path = tmp_path / "s.phs"
+        write_screen(path, generate_screen(SMALL), SMALL)
+        return path
+
+    def test_trailing_bytes(self, valid_file):
+        valid_file.write_bytes(valid_file.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            read_screen(valid_file)
+
+    def test_truncated_raster(self, valid_file):
+        valid_file.write_bytes(valid_file.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated raster"):
+            read_screen(valid_file)
+
+    def test_zero_grid_size(self, valid_file):
+        raw = bytearray(valid_file.read_bytes())
+        raw[8:12] = struct.pack("<I", 0)
+        valid_file.write_bytes(bytes(raw[:52]))
+        with pytest.raises(ValueError, match="zero grid size"):
+            read_screen(valid_file)
+
+    @pytest.mark.parametrize("pitch", [float("nan"), float("inf"), 0.0, -1e-5])
+    def test_bad_pitch(self, valid_file, pitch):
+        raw = bytearray(valid_file.read_bytes())
+        raw[12:20] = struct.pack("<d", pitch)
+        valid_file.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="pitch"):
+            read_screen(valid_file)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.phs"
