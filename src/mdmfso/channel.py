@@ -99,9 +99,13 @@ def wiener_phase(n_symbols, n_rx, config):
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     sigma = np.sqrt(config.increment_variance)
     n_walks = n_rx if config.per_rx_independent else 1
-    steps = sigma * rng.standard_normal((n_walks, n_symbols))
-    steps[:, 0] = 0.0
-    phi = np.cumsum(steps, axis=1)
+    # scaled and summed in place, one row at a time: the bits of
+    # np.cumsum(sigma * draws, axis=1) without its two temporaries
+    phi = rng.standard_normal((n_walks, n_symbols))
+    phi *= sigma
+    phi[:, 0] = 0.0
+    for row in phi:
+        np.cumsum(row, out=row)
     if not config.per_rx_independent:
         phi = np.broadcast_to(phi, (n_rx, n_symbols)).copy()
     return phi
@@ -125,19 +129,29 @@ def propagate(frame, h, phase, noise, isi=None):
     else:
         shaped = symbols
 
-    y = h_mat @ shaped
+    # complex even for a real channel and real symbols: written in place below
+    y = (h_mat @ shaped).astype(complex, copy=False)
     if phase is not None:
-        # exp(1j * phase) as cos + j sin, bit for bit; the + 0.0 gives
-        # sin(-0.0) the +0.0 imaginary part that exp(1j * -0.0) has
-        rot = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=rot.real)
-        np.sin(phase, out=rot.imag)
-        rot.imag += 0.0
-        rot *= y
-        y = rot
+        # exp(1j * phase) as cos + j sin, bit for bit, one row at a time
+        # into one buffer; the + 0.0 gives sin(-0.0) the +0.0 imaginary
+        # part that exp(1j * -0.0) has. Complex products are not bitwise
+        # commutative: the phasor stays the first operand.
+        rot = np.empty(y.shape[1], dtype=complex)
+        for k in range(n_r):
+            np.cos(phase[k], out=rot.real)
+            np.sin(phase[k], out=rot.imag)
+            rot.imag += 0.0
+            np.multiply(rot, y[k], out=y[k])
     if noise is not None and noise.n0 > 0:
+        # all real parts are drawn before all imaginary parts, row by
+        # row into one buffer; adding sqrt(n0 / 2) * draw to each part
+        # has the bits of y + sqrt(n0 / 2) * (re + 1j * im)
         rng = np.random.default_rng(np.random.SeedSequence(noise.seed))
-        y = y + np.sqrt(noise.n0 / 2.0) * (
-            rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        )
+        scale = np.sqrt(noise.n0 / 2.0)
+        draw = np.empty(y.shape[1])
+        for part in (y.real, y.imag):
+            for k in range(n_r):
+                rng.standard_normal(out=draw)
+                draw *= scale
+                part[k] += draw
     return y

@@ -8,7 +8,8 @@ ensembles. Each entry-point call builds what its realizations share
 once: monte_carlo and sweep_osnr build one optics.ModalCoupler, through
 which every coupling goes, and one set of transmit frames; sweep_osnr
 also builds its one channel matrix. run_realization, called alone,
-builds its own.
+builds its own. Their realizations and OSNR points then run on the
+ordered worker map of screens._ordered_map, in input order.
 """
 
 from dataclasses import dataclass, asdict, fields, replace
@@ -351,6 +352,8 @@ def decode_stream(y, frame, config, n0, h_true=None):
             acc[name]["bits"] += 2 * syms
             acc[name]["err2"] += err2.sum(axis=1)
             acc[name]["syms"] += syms
+            # freed before the next decoder allocates its own output
+            del res, wrong_im, wrong_re, err2
     return acc, cond
 
 
@@ -380,6 +383,7 @@ def run_realization(
     noise = channel_mod.NoiseConfig(n0=n0, seed=_seed(config.seed, 2, realization))
     isi = channel_mod.IsiConfig.normalized(config.isi_taps)
     y = channel_mod.propagate(frame, h, phase, noise, isi=isi)
+    del phase  # the receiver tracks its own; free the true trajectory
 
     acc, cond = decode_stream(y, frame, config, n0, h_true=h)
     reports = {}
@@ -413,10 +417,18 @@ def sweep_osnr(config, coupler=None):
         raise ValueError("osnr_grid must be nonempty for a sweep")
     h = build_channel(config, 0, coupler=coupler)
     frame = build_frames(config)
+    points = (
+        replace(config, osnr_db=float(osnr), seed=_seed(config.seed, 4, i))
+        for i, osnr in enumerate(config.osnr_grid)
+    )
     rows = []
-    for i, osnr in enumerate(config.osnr_grid):
-        point = replace(config, osnr_db=float(osnr), seed=_seed(config.seed, 4, i))
-        reports = run_realization(point, realization=0, h=h, frame=frame)
+    for osnr, reports in zip(
+        config.osnr_grid,
+        screens._ordered_map(
+            lambda point: run_realization(point, realization=0, h=h, frame=frame),
+            points,
+        ),
+    ):
         for name in config.decoders:
             rep = reports[name]
             rows.append(
@@ -473,12 +485,15 @@ def monte_carlo(config, count=None, screen_batch=None):
         raise ValueError("screen_batch shorter than the realization count")
     coupler = ModalCoupler(config) if config.channel_kind != "unitary" else None
     frame = build_frames(config)
-    reports = {d: [] for d in config.decoders}
-    for r in range(count):
+
+    def realization(r):
         screen = None if screen_batch is None else screen_batch[r]
-        pipe = run_realization(
+        return run_realization(
             config, realization=r, coupler=coupler, screen=screen, frame=frame
         )
+
+    reports = {d: [] for d in config.decoders}
+    for pipe in screens._ordered_map(realization, range(count)):
         for name, rep in pipe.items():
             reports[name].append(rep)
     averages = {}

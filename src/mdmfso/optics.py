@@ -220,13 +220,21 @@ def overlap(a, b, pitch):
     return complex(np.sum(np.conj(a) * b) * pitch ** 2)
 
 
+def _rows(stack, index):
+    """stack[index]; a view, not a copy, when index is 0, 1, 2, ..."""
+    if index == list(range(len(index))):
+        return stack[: len(index)]
+    return stack[index]
+
+
 class ModalCoupler:
     """Modal coupling M_kl = <psi_k_rx | A e^{j phi} psi_l_tx> per screen.
 
     Each distinct mode of the transmit and receive sets is evaluated
-    once (sharing LG terms, see LGTerms), normalized over the full
-    raster, and kept only on the aperture's pixels, where the receive
-    side is nonzero. A coupling then exponentiates the screen and sums
+    once (consecutive modes built from the same LG factors share them,
+    see LGTerms), normalized over the full raster, and kept only on the
+    aperture's pixels, where the receive side is nonzero, in one stack
+    that the transmit and receive sides view. A coupling then exponentiates the screen and sums
     only over those pixels; LP fields are real, so it runs in real
     arithmetic.
     `ModalCoupler(config)` reads the grid, aperture, waist and mode
@@ -255,14 +263,30 @@ class ModalCoupler:
         self._shape = (grid.grid_size, grid.grid_size)
         self._pixels = np.flatnonzero(aperture.mask(grid))
         self._pitch2 = grid.pitch ** 2
-        terms = LGTerms(grid)
-        fields = {
-            spec: mode_field(spec, grid, terms).ravel()[self._pixels]
-            for spec in dict.fromkeys(tx + rx)
-        }
-        self._tx = np.stack([fields[s] for s in tx])
-        self._rx = np.stack([fields[s] for s in rx])
-        np.conj(self._rx, out=self._rx)
+        # one row per distinct mode, transmit modes first, so that the
+        # transmit stack and (for real fields whose receive modes are
+        # the stack's rows in order, as by default) the receive stack
+        # are views of it rather than copies
+        specs = list(dict.fromkeys(tx + rx))
+        stack = np.empty((len(specs), self._pixels.size))
+        terms, uses = None, None
+        for i, spec in enumerate(specs):
+            # consecutive modes built from the same LG factors (LP11a/b,
+            # LP21a/b) share one cache, dropped once the next mode needs
+            # other factors
+            factors = {(p, abs(l)) for p, l, _ in spec.lg_composition}, spec.waist
+            if factors != uses:
+                terms = None  # freed before the next cache fills
+                terms, uses = LGTerms(grid), factors
+            field = mode_field(spec, grid, terms).ravel()
+            if np.iscomplexobj(field) and not np.iscomplexobj(stack):
+                stack = stack.astype(complex)
+            stack[i] = field[self._pixels]
+        row = {spec: i for i, spec in enumerate(specs)}
+        self._tx = _rows(stack, [row[s] for s in tx])
+        self._rx = _rows(stack, [row[s] for s in rx])
+        if np.iscomplexobj(stack):
+            self._rx = np.conj(self._rx)
         blank = (self._rx @ self._tx.T).astype(complex) * self._pitch2
         self.calibration_spatial = calibrate_columns(blank)
         self.blank_coupling = blank
@@ -278,9 +302,40 @@ class ModalCoupler:
                 f"screen raster {screen.raster.shape} does not match the "
                 f"coupler grid {self._shape}"
             )
-        phi = screen.raster.ravel()[self._pixels]
-        cos_part = self._rx @ (self._tx * np.cos(phi)).T
-        sin_part = self._rx @ (self._tx * np.sin(phi)).T
+        raster = screen.raster.ravel()
+        n_tx = len(self._tx)
+        # the products of self._tx * cos(phi), then sin(phi), in one
+        # buffer. Real (LP) products are formed two transmit rows at a
+        # time, the last block taking an odd row, so the buffer holds at
+        # most three rows: real blocks of two or more rows give the bits
+        # of the whole product, while a one-row block would go through
+        # gemv and complex blocks through a zgemm that rounds otherwise.
+        # A real phasor lives in the buffer's first row, which only the
+        # last block overwrites, and there last.
+        if not np.iscomplexobj(self._tx):
+            edges = [*range(0, max(n_tx - 1, 1), 2), n_tx]
+            buf = np.empty((min(n_tx, 3), self._pixels.size))
+            phasor = buf[0]
+        else:
+            edges = [0, n_tx]
+            buf = np.empty(self._tx.shape, complex)
+            phasor = np.empty(self._pixels.size)
+        parts = []
+        for trig in (np.cos, np.sin):
+            np.take(raster, self._pixels, out=phasor, mode="clip")  # unbuffered
+            trig(phasor, out=phasor)
+            blocks = []
+            for lo, hi in zip(edges, edges[1:]):
+                if hi < n_tx:
+                    prod = buf[1 : 1 + hi - lo]
+                    np.multiply(self._tx[lo:hi], phasor, out=prod)
+                else:
+                    prod = buf[: hi - lo]
+                    np.multiply(self._tx[lo + 1 : hi], phasor, out=prod[1:])
+                    np.multiply(self._tx[lo], phasor, out=prod[0])
+                blocks.append(self._rx @ prod.T)
+            parts.append(np.concatenate(blocks, axis=1))
+        cos_part, sin_part = parts
         return (cos_part + 1j * sin_part) * self._pitch2
 
     def captured_power(self, screen):

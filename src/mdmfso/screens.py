@@ -27,8 +27,9 @@ import numpy as np
 # amplitude calibration of the real-part synthesis, see module docstring
 SYNTHESIS_GAIN = 2.0 ** (-1.0 / 3.0)
 
-# ensemble members run on at most this many threads; each member in
-# flight holds a few raster-sized temporaries, so the cap bounds memory
+# ensembles and sweeps run on at most this many workers, the calling
+# thread included (see _ordered_map); each item in flight holds its own
+# working set, so the cap bounds memory
 MAX_WORKERS = 4
 
 MAGIC = b"PHSCRN01"
@@ -87,17 +88,18 @@ class PhaseScreen:
 
 
 def _frequency_grid(config, level):
-    """Return (fx, fy) for the requested synthesis level.
+    """Return (fx, fy) for the requested synthesis level, as a row and a
+    column that broadcast to the grid (the values of np.meshgrid).
 
     Level 0 is the full FFT grid (fft ordering, n/L); level p >= 1 is the
     3x3 subharmonic grid with spacing 1/(3^p L).
     """
     if level == 0:
         f1 = np.fft.fftfreq(config.grid_size, d=config.pitch)
-        return np.meshgrid(f1, f1)
-    df = 1.0 / (3.0 ** level * config.physical_length)
-    v = np.array([-1.0, 0.0, 1.0]) * df
-    return np.meshgrid(v, v)
+    else:
+        df = 1.0 / (3.0 ** level * config.physical_length)
+        f1 = np.array([-1.0, 0.0, 1.0]) * df
+    return f1[None, :], f1[:, None]
 
 
 def vonkarman_coefficients(config, level, rng_draws):
@@ -257,8 +259,12 @@ def generate_screen(config):
     c0 *= amp
     c0[0, 0] = 0.0
     c0[cells] *= corr
-    # the association of ifft2(c0) * n * n, on the real part only
-    raster = np.fft.ifft2(c0, out=c0).real * n
+    # ifft2(c0) in place, last axis first as ifft2 runs its passes
+    # (np.fft.ifft2 ignores out= and allocates twice), then the
+    # association of ifft2(c0) * n * n, on the real part only
+    for axis in (1, 0):
+        np.fft.ifft(c0, axis=axis, out=c0)
+    raster = c0.real * n
     raster *= n
     del c0
 
@@ -292,30 +298,47 @@ def _usable_cpus():
 
 
 def _ordered_map(fn, items):
-    """Yield fn(item) for each item, in input order, computed on up to
-    min(usable CPUs, MAX_WORKERS) threads.
+    """Yield fn(item) for each item, in input order, computed by up to
+    min(usable CPUs, MAX_WORKERS) workers: the calling thread and a pool
+    of one thread fewer.
 
     Only the calling thread pulls from items, and at most one item per
-    worker is pulled ahead of the result being yielded. A worker's
-    exception re-raises here, and closing the generator cancels what has
-    not started and waits for the rest. Results do not depend on the
-    worker count as long as fn does not depend on the order of calls.
+    worker is pulled ahead of the result being yielded. An item goes to
+    the pool while the pool holds fewer items than it has threads;
+    otherwise the caller computes it before it waits on the pool. An
+    exception from fn re-raises here, in input order, and closing the
+    generator cancels what has not started and waits for the rest.
+    Results do not depend on the worker count as long as fn does not
+    depend on the order of calls. The caller takes a worker's share
+    because each pool thread adds a malloc arena that keeps the memory
+    its work freed.
     """
     workers = min(_usable_cpus(), MAX_WORKERS)
     if workers < 2:
         yield from map(fn, items)
         return
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    pending = deque()
+    def computed(item):
+        future = Future()
+        try:
+            future.set_result(fn(item))
+        except Exception as exc:  # raised again when its turn comes
+            future.set_exception(exc)
+        return future
+
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    pending = deque()  # (future, whether the pool runs it), in input order
     try:
         for item in items:
-            pending.append(pool.submit(fn, item))
+            if sum(pooled for _, pooled in pending) < workers - 1:
+                pending.append((pool.submit(fn, item), True))
+            else:
+                pending.append((computed(item), False))
             if len(pending) == workers:
-                yield pending.popleft().result()
+                yield pending.popleft()[0].result()
         while pending:
-            yield pending.popleft().result()
+            yield pending.popleft()[0].result()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -368,11 +391,20 @@ def structure_function(screens, separations):
 
     def terms(screen):
         phi = screen.raster
+        n = phi.shape[0]
+        # per separation, the differences along each axis are written
+        # into a contiguous view of one buffer, shaped as the fresh
+        # arrays of phi[:, k:] - phi[:, :-k] would be, so that the
+        # means sum in the same order
+        x_buf, y_buf = np.empty(phi.size), np.empty(phi.size)
         out = np.empty(len(shifts))
         for i, k in enumerate(shifts):
-            dx = phi[:, k:] - phi[:, :-k]
-            dy = phi[k:, :] - phi[:-k, :]
-            out[i] = 0.5 * (np.mean(dx ** 2) + np.mean(dy ** 2))
+            size = n * (n - k)
+            dx = np.subtract(phi[:, k:], phi[:, :-k], out=x_buf[:size].reshape(n, n - k))
+            dy = np.subtract(phi[k:, :], phi[:-k, :], out=y_buf[:size].reshape(n - k, n))
+            np.square(dx, out=dx)
+            np.square(dy, out=dy)
+            out[i] = 0.5 * (np.mean(dx) + np.mean(dy))
         return out
 
     d = np.zeros(len(shifts))

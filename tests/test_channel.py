@@ -4,6 +4,7 @@ import pytest
 from mdmfso.channel import (
     DEFAULT_BAUD,
     REFERENCE_BANDWIDTH,
+    THREE_TAP_PROFILE,
     IsiConfig,
     NoiseConfig,
     PhaseNoiseConfig,
@@ -160,3 +161,74 @@ class TestPropagate:
             propagate(s, np.eye(2), None, None)
         with pytest.raises(ValueError):
             propagate(s, np.eye(3), np.zeros((2, 10)), None)
+
+
+def reference_wiener_phase(n_symbols, n_rx, config):
+    # wiener_phase as written before it scaled and summed in place
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    sigma = np.sqrt(config.increment_variance)
+    n_walks = n_rx if config.per_rx_independent else 1
+    steps = sigma * rng.standard_normal((n_walks, n_symbols))
+    steps[:, 0] = 0.0
+    phi = np.cumsum(steps, axis=1)
+    if not config.per_rx_independent:
+        phi = np.broadcast_to(phi, (n_rx, n_symbols)).copy()
+    return phi
+
+
+def reference_propagate(symbols, h, phase, noise, isi=None):
+    # propagate as written before it rotated the streams and loaded the
+    # noise one row at a time
+    if isi is not None and len(isi.taps) > 1:
+        from scipy.signal import fftconvolve
+
+        taps = np.asarray(isi.taps, dtype=complex)
+        shaped = fftconvolve(symbols, taps[None, :], mode="same", axes=1)
+    else:
+        shaped = symbols
+    y = h @ shaped
+    if phase is not None:
+        rot = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=rot.real)
+        np.sin(phase, out=rot.imag)
+        rot.imag += 0.0
+        rot *= y
+        y = rot
+    if noise is not None and noise.n0 > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(noise.seed))
+        y = y + np.sqrt(noise.n0 / 2.0) * (
+            rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+        )
+    return y
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestReferenceBits:
+    """wiener_phase and propagate equal their former whole-array forms
+    bit for bit."""
+
+    @pytest.mark.parametrize("independent", [True, False])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+    def test_wiener_phase(self, seed, independent):
+        cfg = PhaseNoiseConfig(linewidth=2e5, per_rx_independent=independent, seed=seed)
+        assert same_bits(wiener_phase(30000, 12, cfg), reference_wiener_phase(30000, 12, cfg))
+
+    @pytest.mark.parametrize("isi", [None, THREE_TAP_PROFILE], ids=["memoryless", "3-tap"])
+    @pytest.mark.parametrize("n0", [0.0, 0.03])
+    @pytest.mark.parametrize("with_phase", [True, False], ids=["phase", "no-phase"])
+    @pytest.mark.parametrize("seed", [1, 77, 2**40 + 3])
+    def test_propagate(self, seed, with_phase, n0, isi):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((4, 30000)) + 1j * rng.standard_normal((4, 30000))
+        h = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        phase = None
+        if with_phase:
+            phase = wiener_phase(30000, 6, PhaseNoiseConfig(linewidth=1e6, seed=seed))
+        noise = NoiseConfig(n0=n0, seed=seed + 1)
+        assert same_bits(
+            propagate(s, h, phase, noise, isi=isi),
+            reference_propagate(s, h, phase, noise, isi=isi),
+        )

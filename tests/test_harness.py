@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -298,6 +299,74 @@ class TestSharedWork:
         assert len(assemble_calls) == 1
 
 
+class TestWorkerInvariance:
+    """Realizations and OSNR points run on the ordered thread map; the
+    reports do not depend on the worker count."""
+
+    def test_monte_carlo(self, set_workers):
+        cfg = ExperimentConfig(**{**FAST, "realizations": 5}, osnr_db=18.0)
+        runs = []
+        for workers in (1, 3):
+            set_workers(workers)
+            runs.append(monte_carlo(cfg))
+        assert runs[0].reports == runs[1].reports
+        assert [r.realization for r in runs[1].reports["sic"]] == list(range(5))
+        assert runs[0].averages == runs[1].averages
+        assert runs[0].histogram == runs[1].histogram
+
+    def test_sweep(self, set_workers):
+        cfg = ExperimentConfig(**FAST, osnr_grid=(10.0, 14.0, 18.0, 22.0, 26.0))
+        runs = []
+        for workers in (1, 3):
+            set_workers(workers)
+            runs.append(sweep_osnr(cfg))
+        assert runs[0] == runs[1]
+        assert [row["osnr_db"] for row in runs[1]][::2] == list(cfg.osnr_grid)
+
+    def test_failing_realization_reraises(self, set_workers, monkeypatch):
+        set_workers(3)
+
+        def fail_on_2(config, realization=0, **kwargs):
+            if realization == 2:
+                raise RuntimeError("realization 2")
+            return {}
+
+        monkeypatch.setattr(harness, "run_realization", fail_on_2)
+        cfg = ExperimentConfig(**{**FAST, "realizations": 6}, channel_kind="unitary")
+        with pytest.raises(RuntimeError, match="realization 2"):
+            monte_carlo(cfg)
+
+
+def traced_peak_mb(fn, *args, **kwargs):
+    """Peak of the memory fn(*args, **kwargs) allocates, in MB above the
+    traced memory at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kwargs)
+        return (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """Two realizations or OSNR points in flight fit in the memory of a
+    sequential run only while a realization and the coupler build stay
+    this lean (tracemalloc counts numpy's allocations exactly)."""
+
+    def test_run_realization(self):
+        cfg = ExperimentConfig(n_frames=4)
+        coupler = harness.ModalCoupler(cfg)
+        h = coupler.channel_matrix(realization_screen(cfg, 0))
+        frame = harness.build_frames(cfg)
+        del coupler
+        assert traced_peak_mb(run_realization, cfg, 0, h=h, frame=frame) <= 40.0
+
+    def test_coupler_build(self):
+        assert traced_peak_mb(harness.ModalCoupler, ExperimentConfig()) <= 100.0
+
+
 def reference_scores(frame, config, results):
     """decode_stream's accumulators by the per-channel loop, from the
     decoder results of each frame window in call order."""
@@ -507,6 +576,24 @@ class TestCli:
         argv = ["stats", "--config", config_file, "--count", "30", "--out", str(out)]
         assert cli_main(argv) == 0
         assert hashes(out) == GOLDEN["stats"]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_monte_carlo_golden_at_any_worker_count(self, tmp_path, config_file, set_workers, workers):
+        set_workers(workers)
+        out = tmp_path / "mc"
+        argv = ["monte-carlo", "--config", config_file, "--count", "3", "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert hashes(out) == GOLDEN["monte-carlo"]
+
+    def test_sweep_independent_of_worker_count(self, tmp_path, config_file, set_workers):
+        outputs = []
+        for workers in (1, 3):
+            set_workers(workers)
+            out = tmp_path / f"sweep{workers}"
+            argv = ["sweep", "--config", config_file, "--osnr", "12", "16", "20", "--out", str(out)]
+            assert cli_main(argv) == 0
+            outputs.append(hashes(out))
+        assert outputs[0] == outputs[1]
 
     def test_seed_and_decoder_override(self, tmp_path, config_file):
         out = tmp_path / "ovr"

@@ -219,6 +219,74 @@ class TestModalCoupler:
             coupler.coupling(blank_screen())
 
 
+def reference_coupler(grid, tx, rx, aperture, raster):
+    # blank_coupling and coupling(raster) as computed before the coupler
+    # wrote its fields into one stack: one LGTerms for every mode, a dict
+    # of aperture fields and one np.stack per side
+    pixels = np.flatnonzero(aperture.mask(grid))
+    terms = optics.LGTerms(grid)
+    fields = {
+        spec: mode_field(spec, grid, terms).ravel()[pixels]
+        for spec in dict.fromkeys(tx + rx)
+    }
+    tx_stack = np.stack([fields[s] for s in tx])
+    rx_stack = np.stack([fields[s] for s in rx])
+    np.conj(rx_stack, out=rx_stack)
+    blank = (rx_stack @ tx_stack.T).astype(complex) * grid.pitch ** 2
+    phi = raster.ravel()[pixels]
+    cos_part = rx_stack @ (tx_stack * np.cos(phi)).T
+    sin_part = rx_stack @ (tx_stack * np.sin(phi)).T
+    return blank, (cos_part + 1j * sin_part) * grid.pitch ** 2
+
+
+LG_PLUS = ModeSpec("LG(0,1)", ((0, 1, 1.0),))
+LG_MINUS = ModeSpec("LG(0,-1)", ((0, -1, 1.0),))
+
+
+class TestStackedBuild:
+    """The one-stack build, and couplings formed in blocks of transmit
+    rows, give the bits of the dict-plus-np.stack build and its whole
+    products."""
+
+    @pytest.mark.parametrize(
+        "tx, rx",
+        [
+            (optics.TX_MODES, optics.RX_MODES),
+            (("LP02",), ("LP01", "LP11a")),
+            (("LP11a", "LP21a", "LP11b"), ("LP21b", "LP11b", "LP01")),
+            (("LP01", "LP01"), ("LP01", "LP11a")),
+            (("LP01", "LP11a", "LP11b", "LP21a"), optics.RX_MODES),
+            (optics.RX_MODES, optics.TX_MODES),
+            ((LG_PLUS, "LP01"), ("LP01", LG_MINUS, LG_PLUS)),
+            ((LG_PLUS, "LP01", LG_MINUS, "LP11a", "LP21b"), ("LP01", LG_MINUS)),
+        ],
+        ids=["default", "tx_not_in_rx", "interleaved", "repeated", "four_tx", "six_tx",
+             "complex", "complex_five_tx"],
+    )
+    def test_bits_equal_reference(self, tx, rx):
+        tx = [m if isinstance(m, ModeSpec) else ModeSpec.lp(m) for m in tx]
+        rx = [m if isinstance(m, ModeSpec) else ModeSpec.lp(m) for m in rx]
+        raster = np.random.default_rng(3).uniform(-np.pi, np.pi, (GRID.grid_size,) * 2)
+        coupler = ModalCoupler.of_modes(GRID, tx, rx, APERTURE)
+        blank, coupling = reference_coupler(GRID, tx, rx, APERTURE, raster)
+        screen = PhaseScreen(raster=raster, pitch=GRID.pitch)
+        for new, ref in ((coupler.blank_coupling, blank), (coupler.coupling(screen), coupling)):
+            assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
+
+    def test_default_config_bits(self):
+        from mdmfso.harness import realization_screen
+
+        cfg = ExperimentConfig(seed=3)
+        grid = GridGeometry(cfg.grid_size, cfg.physical_length / cfg.grid_size)
+        tx = [ModeSpec.lp(m) for m in cfg.tx_modes]
+        rx = [ModeSpec.lp(m) for m in cfg.rx_modes]
+        screen = realization_screen(cfg, 0)
+        coupler = ModalCoupler(cfg)
+        blank, coupling = reference_coupler(grid, tx, rx, APERTURE, screen.raster)
+        assert np.array_equal(coupler.blank_coupling.view(np.uint64), blank.view(np.uint64))
+        assert np.array_equal(coupler.coupling(screen).view(np.uint64), coupling.view(np.uint64))
+
+
 class TestOverlap:
     def test_self_unit(self):
         f = mode_field(ModeSpec.lp("LP02"), GRID)

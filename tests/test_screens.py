@@ -259,17 +259,6 @@ class TestSynthesisReference:
             assert not a.flags.writeable
 
 
-@pytest.fixture()
-def set_workers(monkeypatch):
-    """Set the worker count of screens._ordered_map to n, whatever the CPUs."""
-    monkeypatch.setattr(screens, "_usable_cpus", lambda: 8)
-
-    def set_to(n):
-        monkeypatch.setattr(screens, "MAX_WORKERS", n)
-
-    return set_to
-
-
 class TestOrderedMap:
     def test_input_order(self, set_workers):
         set_workers(3)
@@ -318,6 +307,44 @@ class TestOrderedMap:
         assert [next(stream) for _ in range(5)] == [0, 1, 2, 3, 4]
         stream.close()
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_caller_takes_a_worker_slot(set_workers, workers):
+    # the pool has one thread fewer than the workers, and the calling
+    # thread computes the items the pool cannot take
+    set_workers(workers)
+    before = threading.active_count()
+    threads, alive = set(), []
+
+    def record(i):
+        threading.Event().wait(0.005)  # keep each pool thread busy
+        threads.add(threading.current_thread())
+        alive.append(threading.active_count() - before)
+        return i
+
+    assert list(screens._ordered_map(record, range(12))) == list(range(12))
+    assert threading.current_thread() in threads
+    assert len(threads) == workers
+    assert max(alive) == workers - 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_exceptions_reraise_in_input_order(set_workers, workers):
+    # whichever thread computed the failing item, the items before it
+    # come out first
+    set_workers(workers)
+    for bad in range(6):
+        def fail(i):
+            if i == bad:
+                raise RuntimeError(f"item {i}")
+            return i
+
+        out = []
+        with pytest.raises(RuntimeError, match=f"item {bad}"):
+            for value in screens._ordered_map(fail, range(8)):
+                out.append(value)
+        assert out == list(range(bad))
 
 
 class TestWorkerInvariance:
