@@ -23,7 +23,6 @@ from .optics import (
     ModalCoupler,
     ModeSpec,
     polarization_expand,
-    spatial_coupling_matrix,
 )
 from .framing import Frame, FrameLayout, assemble_frames, mode_delays
 from .channel import IsiConfig, NoiseConfig, PhaseNoiseConfig, osnr_to_n0, propagate, wiener_phase
@@ -95,7 +94,6 @@ __all__ = [
     "scintillation_stats",
     "sic_decode",
     "sic_order",
-    "spatial_coupling_matrix",
     "structure_function",
     "sweep_osnr",
     "theoretical_reference",

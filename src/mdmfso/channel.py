@@ -48,10 +48,6 @@ class NoiseConfig:
         if self.n0 < 0:
             raise ValueError("noise variance must be >= 0")
 
-    @classmethod
-    def from_osnr(cls, osnr_db, baud, per_channel_signal_power, seed=0):
-        return cls(n0=osnr_to_n0(osnr_db, baud, per_channel_signal_power), seed=seed)
-
 
 @dataclass(frozen=True)
 class IsiConfig:

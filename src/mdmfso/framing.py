@@ -81,11 +81,6 @@ def balanced_qpsk(seed, n):
     return QPSK[rng.permutation(block)]
 
 
-def build_training(ts_seed, ts_len):
-    """Balanced training sequence: ts_len/4 copies of each QPSK point."""
-    return balanced_qpsk(ts_seed, ts_len)
-
-
 @dataclass(frozen=True)
 class FrameLayout:
     frame_len: int = 20000
@@ -145,10 +140,6 @@ class Frame:
     @property
     def n_symbols(self):
         return self.symbols.shape[1]
-
-    def joint_pilot_times(self):
-        """Times where every channel transmits a pilot simultaneously."""
-        return np.flatnonzero(self.pilot_mask.all(axis=0))
 
     def joint_ts_times(self):
         """Times where every channel is inside its training sequence."""
@@ -215,7 +206,7 @@ def assemble_frames(layout, n_channels, n_frames, delays):
     n_pilots = int(pilot_tiled.sum())
 
     for ch in range(n_channels):
-        ts = build_training(seeds[ch]["ts"], layout.ts_len)
+        ts = balanced_qpsk(seeds[ch]["ts"], layout.ts_len)
         pilots = balanced_qpsk(seeds[ch]["pilot"], n_pilots)
         # PRBS state: any nonzero 15-bit phase derived from the channel seed
         state = seeds[ch]["data"] % (2 ** 15 - 1) + 1

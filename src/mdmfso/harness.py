@@ -407,7 +407,7 @@ def run_realization(
     return reports
 
 
-def sweep_osnr(config, coupler=None):
+def sweep_osnr(config):
     """BER vs OSNR on a fixed channel; noise is re-drawn per grid point.
 
     Returns a list of row dicts (osnr_db, decoder, ber_avg/min/max,
@@ -415,7 +415,7 @@ def sweep_osnr(config, coupler=None):
     """
     if not config.osnr_grid:
         raise ValueError("osnr_grid must be nonempty for a sweep")
-    h = build_channel(config, 0, coupler=coupler)
+    h = build_channel(config, 0)
     frame = build_frames(config)
     points = (
         replace(config, osnr_db=float(osnr), seed=_seed(config.seed, 4, i))
@@ -448,7 +448,7 @@ def sweep_osnr(config, coupler=None):
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
-    """Ensemble outcome of `count` paired turbulence realizations."""
+    """Ensemble outcome of config.realizations paired turbulence realizations."""
 
     config: ExperimentConfig
     reports: dict  # decoder -> list[RunReport] sorted by realization
@@ -471,16 +471,15 @@ def ber_histogram(bers, bins_per_decade=2):
     ]
 
 
-def monte_carlo(config, count=None, screen_batch=None):
-    """Paired Monte-Carlo ensemble over independent turbulence screens.
+def monte_carlo(config, screen_batch=None):
+    """Paired Monte-Carlo ensemble of config.realizations independent
+    turbulence screens.
 
     screen_batch optionally supplies pre-generated screens (one per
     realization), so several mode-set configurations can share one
     turbulence ensemble.
     """
-    count = config.realizations if count is None else count
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = config.realizations
     if screen_batch is not None and len(screen_batch) < count:
         raise ValueError("screen_batch shorter than the realization count")
     coupler = ModalCoupler(config) if config.channel_kind != "unitary" else None
@@ -549,13 +548,12 @@ def power_statistics(powers):
     }
 
 
-def scintillation_stats(screen_list, config, coupler=None):
+def scintillation_stats(screen_list, config):
     """power_statistics of the captured-power proxy of each screen (see
     ModalCoupler.captured_power), computed on worker threads in screen
     order."""
     check_stats_count(len(screen_list))
-    if coupler is None:
-        coupler = ModalCoupler(config)
+    coupler = ModalCoupler(config)
     return power_statistics(
         list(screens._ordered_map(coupler.captured_power, screen_list))
     )

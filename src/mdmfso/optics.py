@@ -7,11 +7,12 @@ circular aperture maps to a modal coupling matrix by overlap integrals
 (thin-screen, negligible-diffraction model), which is then expanded over
 the two polarizations and column-calibrated on the blank screen.
 
-ModalCoupler is the one coupling implementation: it evaluates each
-distinct mode once, keeps it only on the aperture's pixels, and reduces
-each screen to one pass over those pixels. spatial_coupling_matrix is a
-one-screen view of it, and LGTerms holds the one LG formula that every
-mode field is built from.
+Every mode field is real: a ModeSpec is accepted only when its LG
+weights make it so, as for every LP mode, and a bare LG (OAM) mode is
+rejected. ModalCoupler is the one coupling implementation: it evaluates
+each distinct mode once, keeps it only on the aperture's pixels, and
+reduces each screen to one pass over those pixels in real arithmetic.
+LGTerms holds the one LG formula that every mode field is built from.
 """
 
 from dataclasses import dataclass
@@ -44,17 +45,27 @@ class GridGeometry:
     grid_size: int
     pitch: float
 
-    @classmethod
-    def of_screen(cls, screen):
-        return cls(grid_size=screen.grid_size, pitch=screen.pitch)
-
     def coords(self):
         return (np.arange(self.grid_size) - self.grid_size // 2) * self.pitch
 
 
+def _lg_weights(composition):
+    """The weight of each LG(p, l) in composition, repeated terms added up."""
+    weights = {}
+    for p, l, w in composition:
+        weights[p, l] = weights.get((p, l), 0) + w
+    return weights
+
+
 @dataclass(frozen=True)
 class ModeSpec:
-    """A transverse mode as a normalized LG superposition."""
+    """A transverse mode as a normalized LG superposition with a real field.
+
+    The field is real exactly when the weight of LG(p, -l) is the
+    conjugate of the weight of LG(p, l) for every term, as for every LP
+    mode of LP_TO_LG; any other composition, such as a bare LG (OAM)
+    mode, raises ValueError.
+    """
 
     label: str
     lg_composition: tuple
@@ -67,13 +78,17 @@ class ModeSpec:
         return cls(label=label, lg_composition=LP_TO_LG[label], waist=waist)
 
     def __post_init__(self):
-        # repeated LG terms add up (as in LGTerms.field) before the norm
-        weights = {}
-        for p, l, w in self.lg_composition:
-            weights[p, l] = weights.get((p, l), 0) + w
+        # repeated LG terms add up (as in LGTerms.field) before the checks
+        weights = _lg_weights(self.lg_composition)
         total = sum(abs(w) ** 2 for w in weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError("composition weights must have unit squared magnitude")
+        for (p, l), w in weights.items():
+            if weights.get((p, -l), 0) != w.conjugate():
+                raise ValueError(
+                    f"mode {self.label}: the weight of LG({p},{-l}) is not the "
+                    f"conjugate of that of LG({p},{l}); mode fields must be real"
+                )
         if self.waist <= 0:
             raise ValueError("waist must be positive")
 
@@ -116,11 +131,6 @@ def _genlaguerre(n, alpha, x):
     return cur
 
 
-def _real_if_exact(c):
-    """The complex scalar c as a float when its imaginary part is zero."""
-    return c.real if c.imag == 0 else c
-
-
 class LGTerms:
     """Laguerre-Gaussian superpositions at the waist plane on a raster.
 
@@ -131,17 +141,16 @@ class LGTerms:
     with A_pm = sqrt(2 p! / (pi (p + m)!)) / w and Z = sqrt(2) (x + j y) / w,
     conjugated for l < 0. The power of x + j y stands for
     (sqrt(2) r / w)^|l| e^{j l theta}: it needs no arctan2 or complex exp
-    and stays finite on the axis. The terms of one (p, |l|) combine as
-    a Z^m + b conj(Z^m) = (a + b) Re Z^m + j (a - b) Im Z^m, so a
-    superposition whose weights make it real, as for every LP mode, is
-    formed in real arithmetic and comes out real-valued. Each radial
+    and stays finite on the axis. The terms of one (p, m > 0) have the
+    weights a and conj(a) (see ModeSpec) and combine as
+    a Z^m + conj(a Z^m) = 2 Re(a) Re Z^m - 2 Im(a) Im Z^m, so every field
+    is formed in real arithmetic and comes out real-valued. Each radial
     factor and each azimuthal power is evaluated once per waist and kept
     for the next field.
     """
 
     def __init__(self, grid):
         c = grid.coords()
-        self.shape = (grid.grid_size, grid.grid_size)
         self._x, self._y = c[None, :], c[:, None]
         self._r2 = self._x ** 2 + self._y ** 2
         self._radial = {}
@@ -168,27 +177,21 @@ class LGTerms:
         return self._azimuth[key]
 
     def field(self, composition, waist):
-        """sum(weight * LG(p, l)) over (p, l, weight) in composition."""
-        pairs = {}  # (p, |l|) -> [weight of LG(p, |l|), weight of LG(p, -|l|)]
-        for p, l, weight in composition:
-            pairs.setdefault((p, abs(l)), [0j, 0j])[l < 0] += weight
+        """sum(weight * LG(p, l)) over (p, l, weight) in the composition of
+        an accepted ModeSpec, as a real array."""
+        weights = _lg_weights(composition)
         parts = []
-        for (p, m), (a, b) in pairs.items():
+        for p, m in dict.fromkeys((p, abs(l)) for p, l in weights):
+            a = complex(weights.get((p, m), 0))
             radial = self.radial(p, m, waist)
             if m == 0:
-                parts.append(_real_if_exact(a + b) * radial)
+                parts.append(a.real * radial)
                 continue
             re, im = self.azimuth(m, waist)
-            for coeff, part in ((a + b, re), (1j * (a - b), im)):
+            for coeff, part in ((2 * a.real, re), (-2 * a.imag, im)):
                 if coeff != 0:
-                    parts.append(_real_if_exact(coeff) * part * radial)
-        return sum(parts[1:], parts[0]) if parts else np.zeros(self.shape)
-
-
-def lg_field(p, l, waist, grid):
-    """A single LG(p, l) term as a mode field (see mode_field)."""
-    spec = ModeSpec(label=f"LG({p},{l})", lg_composition=((p, l, 1.0),), waist=waist)
-    return mode_field(spec, grid)
+                    parts.append(coeff * part * radial)
+        return sum(parts[1:], parts[0])
 
 
 def mode_field(spec, grid, terms=None):
@@ -197,27 +200,18 @@ def mode_field(spec, grid, terms=None):
     The analytic fields carry unit continuum energy, so the energy
     captured on the raster measures clipping directly. `terms` shares
     an LGTerms cache of the same grid across several fields. The field
-    is real-valued when the composition makes it real (see LGTerms).
+    is a real float64 array (see ModeSpec and LGTerms).
     """
     if terms is None:
         terms = LGTerms(grid)
     field = terms.field(spec.lg_composition, spec.waist)
-    captured = np.vdot(field, field).real * grid.pitch ** 2
+    captured = np.vdot(field, field) * grid.pitch ** 2
     if captured < 0.99:
         raise ValueError(
             f"mode {spec.label}: only {captured:.3f} of the energy falls on the "
             "raster; waist too large for the grid"
         )
     return field / np.sqrt(captured)
-
-
-def overlap(a, b, pitch):
-    """Discrete overlap integral sum(conj(a) * b) * pitch^2."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(np.conj(a) * b) * pitch ** 2)
 
 
 def _rows(stack, index):
@@ -233,10 +227,11 @@ class ModalCoupler:
     Each distinct mode of the transmit and receive sets is evaluated
     once (consecutive modes built from the same LG factors share them,
     see LGTerms), normalized over the full raster, and kept only on the
-    aperture's pixels, where the receive side is nonzero, in one stack
-    that the transmit and receive sides view. A coupling then exponentiates the screen and sums
-    only over those pixels; LP fields are real, so it runs in real
-    arithmetic.
+    aperture's pixels, where the receive side is nonzero, in one float64
+    stack that the transmit and receive sides view. A coupling then
+    exponentiates the screen and sums only over those pixels; mode
+    fields are real (see ModeSpec), so <psi_rx| needs no conjugate and
+    the sums run in real arithmetic.
     `ModalCoupler(config)` reads the grid, aperture, waist and mode
     labels of an ExperimentConfig; `of_modes` takes them explicitly.
     """
@@ -264,9 +259,9 @@ class ModalCoupler:
         self._pixels = np.flatnonzero(aperture.mask(grid))
         self._pitch2 = grid.pitch ** 2
         # one row per distinct mode, transmit modes first, so that the
-        # transmit stack and (for real fields whose receive modes are
-        # the stack's rows in order, as by default) the receive stack
-        # are views of it rather than copies
+        # transmit stack and (when the receive modes are the stack's rows
+        # in order, as by default) the receive stack are views of it
+        # rather than copies
         specs = list(dict.fromkeys(tx + rx))
         stack = np.empty((len(specs), self._pixels.size))
         terms, uses = None, None
@@ -278,15 +273,10 @@ class ModalCoupler:
             if factors != uses:
                 terms = None  # freed before the next cache fills
                 terms, uses = LGTerms(grid), factors
-            field = mode_field(spec, grid, terms).ravel()
-            if np.iscomplexobj(field) and not np.iscomplexobj(stack):
-                stack = stack.astype(complex)
-            stack[i] = field[self._pixels]
+            stack[i] = mode_field(spec, grid, terms).ravel()[self._pixels]
         row = {spec: i for i, spec in enumerate(specs)}
         self._tx = _rows(stack, [row[s] for s in tx])
         self._rx = _rows(stack, [row[s] for s in rx])
-        if np.iscomplexobj(stack):
-            self._rx = np.conj(self._rx)
         blank = (self._rx @ self._tx.T).astype(complex) * self._pitch2
         self.calibration_spatial = calibrate_columns(blank)
         self.blank_coupling = blank
@@ -294,7 +284,7 @@ class ModalCoupler:
     def coupling(self, screen):
         """Spatial coupling matrix (n_rx, n_tx) through one phase screen.
 
-        e^{j phi} enters as cos + j sin, which keeps real (LP) field
+        e^{j phi} enters as cos + j sin, which keeps the real field
         stacks in real arithmetic.
         """
         if screen.raster.shape != self._shape:
@@ -305,21 +295,15 @@ class ModalCoupler:
         raster = screen.raster.ravel()
         n_tx = len(self._tx)
         # the products of self._tx * cos(phi), then sin(phi), in one
-        # buffer. Real (LP) products are formed two transmit rows at a
-        # time, the last block taking an odd row, so the buffer holds at
-        # most three rows: real blocks of two or more rows give the bits
-        # of the whole product, while a one-row block would go through
-        # gemv and complex blocks through a zgemm that rounds otherwise.
-        # A real phasor lives in the buffer's first row, which only the
-        # last block overwrites, and there last.
-        if not np.iscomplexobj(self._tx):
-            edges = [*range(0, max(n_tx - 1, 1), 2), n_tx]
-            buf = np.empty((min(n_tx, 3), self._pixels.size))
-            phasor = buf[0]
-        else:
-            edges = [0, n_tx]
-            buf = np.empty(self._tx.shape, complex)
-            phasor = np.empty(self._pixels.size)
+        # buffer. They are formed two transmit rows at a time, the last
+        # block taking an odd row, so the buffer holds at most three
+        # rows: blocks of two or more rows give the bits of the whole
+        # product, while a one-row block would go through gemv, which
+        # rounds otherwise. The phasor lives in the buffer's first row,
+        # which only the last block overwrites, and there last.
+        edges = [*range(0, max(n_tx - 1, 1), 2), n_tx]
+        buf = np.empty((min(n_tx, 3), self._pixels.size))
+        phasor = buf[0]
         parts = []
         for trig in (np.cos, np.sin):
             np.take(raster, self._pixels, out=phasor, mode="clip")  # unbuffered
@@ -342,7 +326,7 @@ class ModalCoupler:
         """Captured-power proxy through one screen: the squared Frobenius
         norm of the calibrated coupling, averaged over transmit modes."""
         m = self.coupling(screen) * self.calibration_spatial[None, :]
-        return received_power_proxy(m, len(self.calibration_spatial))
+        return float(np.linalg.norm(m) ** 2 / len(self.calibration_spatial))
 
     def channel_matrix(self, screen=None):
         """Calibrated polarization-expanded channel; blank when screen is None."""
@@ -350,12 +334,6 @@ class ModalCoupler:
         return polarization_expand(
             m, calibration=np.repeat(self.calibration_spatial, 2)
         )
-
-
-def spatial_coupling_matrix(screen, tx, rx, aperture):
-    """Modal coupling matrix M_kl = <psi_k_rx | A e^{j phi} psi_l_tx>."""
-    grid = GridGeometry.of_screen(screen)
-    return ModalCoupler.of_modes(grid, tx, rx, aperture).coupling(screen)
 
 
 def calibrate_columns(h_blank, target=None):
@@ -386,8 +364,3 @@ def polarization_expand(m, calibration=None):
     return ChannelMatrix(
         h=h, n_r=h.shape[0], n_t=h.shape[1], calibration=np.asarray(calibration)
     )
-
-
-def received_power_proxy(m_calibrated, n_t_spatial):
-    """Mean aperture-and-basis-captured power across transmit modes."""
-    return float(np.linalg.norm(m_calibrated) ** 2 / n_t_spatial)

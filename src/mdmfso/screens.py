@@ -449,12 +449,39 @@ def write_screen(path, screen, config):
         fh.write("\n")
 
 
+def _check_sidecar(path, header):
+    """Raise ValueError unless the JSON sidecar of the screen file at path
+    is missing or agrees exactly with its header: grid_size, fried,
+    outer_scale, inner_scale, seed mod 2^64 (as the header keeps it), and
+    physical_length / grid_size against the pitch."""
+    try:
+        with open(str(path) + ".json") as fh:
+            meta = json.load(fh)  # malformed JSON raises a ValueError
+    except FileNotFoundError:
+        return
+    keys = ("grid_size", "fried", "outer_scale", "inner_scale", "seed", "physical_length")
+    if not isinstance(meta, dict) or any(type(meta.get(k)) not in (int, float) for k in keys):
+        raise ValueError(f"sidecar lacks a number for one of {', '.join(keys)}")
+    found = {key: meta[key] for key in keys[:4]}
+    found["seed"] = meta["seed"] % (1 << 64)
+    for key, value in found.items():
+        if value != header[key]:
+            raise ValueError(f"sidecar {key}={value!r} disagrees with the header's {header[key]!r}")
+    pitch = meta["physical_length"] / meta["grid_size"]  # grid_size agrees: nonzero
+    if pitch != header["pitch"]:
+        raise ValueError(
+            f"sidecar physical_length / grid_size={pitch!r} disagrees with the "
+            f"header's pitch {header['pitch']!r}"
+        )
+
+
 def read_screen(path):
     """Read a PHSCRN01 file; returns (PhaseScreen, header dict).
 
     A file that is not exactly magic, header and a grid_size^2 float64
-    raster, or whose header has a zero grid size or a pitch that is not
-    a positive finite number, raises ValueError.
+    raster, whose header has a zero grid size or a pitch that is not a
+    positive finite number, or whose JSON sidecar disagrees with the
+    header (see _check_sidecar), raises ValueError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -484,4 +511,5 @@ def read_screen(path):
         "inner_scale": inner,
         "seed": seed,
     }
+    _check_sidecar(path, header)
     return PhaseScreen(raster=raster.copy(), pitch=pitch), header

@@ -1,6 +1,21 @@
+import os
+
+import numpy as np
 import pytest
 
 from mdmfso import screens
+
+
+def pytest_report_header(config):
+    # the GOLDEN hashes of the coupling path hold at one BLAS thread count
+    # (OpenBLAS's default of 2 where they were recorded): a failing hash
+    # should show the thread setting at a glance
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return [
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}",
+        f"os.cpu_count() {os.cpu_count()}, OPENBLAS_NUM_THREADS {threads}",
+    ]
 
 
 @pytest.fixture()

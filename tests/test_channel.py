@@ -38,11 +38,6 @@ class TestOsnr:
         with pytest.raises(ValueError):
             osnr_to_n0(10.0, 0.0, 1.0)
 
-    def test_from_osnr(self):
-        cfg = NoiseConfig.from_osnr(20.0, DEFAULT_BAUD, 1.0, seed=4)
-        assert cfg.n0 == pytest.approx(osnr_to_n0(20.0, DEFAULT_BAUD, 1.0))
-        assert cfg.seed == 4
-
     def test_negative_n0(self):
         with pytest.raises(ValueError):
             NoiseConfig(n0=-1e-3)

@@ -9,7 +9,6 @@ from mdmfso.framing import (
     FrameLayout,
     assemble_frames,
     balanced_qpsk,
-    build_training,
     mode_delays,
     prbs15,
     qpsk_demap,
@@ -84,9 +83,6 @@ class TestBalancedQpsk:
         with pytest.raises(ValueError):
             balanced_qpsk(1, 42)
 
-    def test_training_alias(self):
-        np.testing.assert_array_equal(build_training(7, 24), balanced_qpsk(7, 24))
-
 
 class TestLayout:
     def test_defaults(self):
@@ -159,7 +155,7 @@ class TestAssembly:
         )
 
     def test_joint_pilots_on_grid(self, frame):
-        jp = frame.joint_pilot_times()
+        jp = np.flatnonzero(frame.pilot_mask.all(axis=0))
         assert jp.size > 0
         assert np.all(jp % LAYOUT.pilot_period == 0)
 

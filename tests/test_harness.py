@@ -258,9 +258,9 @@ class TestPipeline:
     def test_monte_carlo_validation(self):
         cfg = ExperimentConfig(**FAST)
         with pytest.raises(ValueError):
-            monte_carlo(cfg, count=0)
+            monte_carlo(replace(cfg, realizations=0))
         with pytest.raises(ValueError):
-            monte_carlo(cfg, count=2, screen_batch=[None])
+            monte_carlo(replace(cfg, realizations=2), screen_batch=[None])
 
     def test_sweep_requires_grid(self):
         with pytest.raises(ValueError, match="osnr_grid"):
@@ -655,3 +655,20 @@ def test_import_leaves_scipy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_bench_trace_names_resolve():
+    # perfbench/tracing.py wraps these names from outside the program, so
+    # a rename or deletion here would break `perfbench/run.py --trace 1`
+    import importlib
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, (home, attr) in tracing.FUNCTIONS.items():
+        assert callable(getattr(importlib.import_module(home), attr, None)), name
+    cls = tracing.coupler_class()
+    for name, attr in tracing.METHODS.items():
+        assert callable(cls.__dict__.get(attr)), name

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdmfso import screens
 from mdmfso.screens import (
@@ -486,6 +488,91 @@ class TestFileFormat:
         path.write_bytes(b"NOTASCRN" + b"\x00" * 100)
         with pytest.raises(ValueError, match="magic"):
             read_screen(path)
+
+    @pytest.mark.parametrize(
+        "key, value, name",
+        [
+            ("grid_size", 64, "grid_size"),
+            ("fried", 0.9e-3, "fried"),
+            ("outer_scale", 20.0, "outer_scale"),
+            ("inner_scale", 2e-4, "inner_scale"),
+            ("seed", 8, "seed"),
+            ("physical_length", 9e-3, "physical_length / grid_size"),
+        ],
+    )
+    def test_sidecar_disagrees_with_header(self, valid_file, key, value, name):
+        sidecar = valid_file.with_name(valid_file.name + ".json")
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"sidecar {name}="):
+            read_screen(valid_file)
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"grid_size": "128"}'])
+    def test_malformed_sidecar(self, valid_file, text):
+        valid_file.with_name(valid_file.name + ".json").write_text(text)
+        with pytest.raises(ValueError):
+            read_screen(valid_file)
+
+    def test_sidecar_seed_mod_2_64_and_optional(self, tmp_path):
+        # the header keeps the seed mod 2^64, the sidecar the whole seed
+        config = replace(SMALL, seed=2 ** 64 + 7)
+        path = tmp_path / "s.phs"
+        write_screen(path, generate_screen(SMALL), config)
+        assert read_screen(path)[1]["seed"] == 7
+        path.with_name(path.name + ".json").unlink()
+        assert read_screen(path)[1]["seed"] == 7
+
+
+TINY = ScreenConfig(fried=0.8e-3, grid_size=8, subharmonic_levels=1, seed=3)
+
+
+@pytest.fixture(scope="module")
+def tiny_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "s.phs"
+    write_screen(path, generate_screen(TINY), TINY)
+    return path, path.read_bytes()
+
+
+def _flipped(raw, flips):
+    out = bytearray(raw)
+    for at, mask in flips:
+        out[at % len(out)] ^= mask
+    return bytes(out)
+
+
+# flips land in the magic and header (the first 52 bytes) or anywhere
+_FLIPS = st.lists(
+    st.tuples(st.one_of(st.integers(0, 51), st.integers(0, 8 * 8 * 8 + 51)), st.integers(1, 255)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mutation=st.one_of(
+        st.integers(0, 8 * 8 * 8 + 51).map(lambda n: ("truncate", n)),
+        st.binary(min_size=1, max_size=24).map(lambda b: ("extend", b)),
+        _FLIPS.map(lambda f: ("flip", f)),
+    )
+)
+def test_read_screen_mutated_file_raises_only_value_error(tiny_file, mutation):
+    path, raw = tiny_file
+    kind, arg = mutation
+    if kind == "truncate":
+        data = raw[:arg]
+    elif kind == "extend":
+        data = raw + arg
+    else:
+        data = _flipped(raw, arg)
+    path.write_bytes(data)
+    try:
+        screen, header = read_screen(path)
+    except ValueError:
+        return
+    assert screen.raster.shape == (header["grid_size"],) * 2
+    assert len(data) == len(raw)
 
 
 class TestEnsembleStatistics:
