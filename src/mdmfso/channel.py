@@ -25,7 +25,6 @@ DEFAULT_BAUD = 34.46e9
 class PhaseNoiseConfig:
     linewidth: float = 1e5
     baud: float = DEFAULT_BAUD
-    per_rx_independent: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -69,19 +68,16 @@ class IsiConfig:
         return cls(taps=tuple(taps / np.sqrt(np.sum(np.abs(taps) ** 2))))
 
 
-# optional profile for exercising the MIMO equalizer
-THREE_TAP_PROFILE = IsiConfig.normalized([0.05, 1.0, 0.05])
-
-
 def osnr_to_n0(osnr_db, baud, per_channel_signal_power):
     """Per-sample complex noise variance from OSNR (dB, 12.5 GHz reference).
 
-    n0 = P_ch * baud / (OSNR_linear * 2 * B_ref). Infinite OSNR maps to 0.
+    n0 = P_ch * baud / (OSNR_linear * 2 * B_ref). OSNR +inf maps to 0;
+    -inf, which has no noise variance, raises ValueError.
     """
     if baud <= 0:
         raise ValueError("baud must be positive")
-    if np.isinf(osnr_db):
-        return 0.0
+    if osnr_db == -np.inf:
+        raise ValueError("OSNR of -inf dB has no noise variance")
     osnr = 10.0 ** (osnr_db / 10.0)
     return per_channel_signal_power * baud / (osnr * 2.0 * REFERENCE_BANDWIDTH)
 
@@ -90,20 +86,17 @@ def wiener_phase(n_symbols, n_rx, config):
     """Per-receive-channel Wiener phase trajectories, (n_rx, n_symbols).
 
     phi[t+1] = phi[t] + delta with delta ~ N(0, 2 pi linewidth / baud) and
-    phi[0] = 0; channels share one walk when per_rx_independent is False.
+    phi[0] = 0, one independent walk per receive channel.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     sigma = np.sqrt(config.increment_variance)
-    n_walks = n_rx if config.per_rx_independent else 1
     # scaled and summed in place, one row at a time: the bits of
     # np.cumsum(sigma * draws, axis=1) without its two temporaries
-    phi = rng.standard_normal((n_walks, n_symbols))
+    phi = rng.standard_normal((n_rx, n_symbols))
     phi *= sigma
     phi[:, 0] = 0.0
     for row in phi:
         np.cumsum(row, out=row)
-    if not config.per_rx_independent:
-        phi = np.broadcast_to(phi, (n_rx, n_symbols)).copy()
     return phi
 
 

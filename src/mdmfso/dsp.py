@@ -14,6 +14,8 @@ from .framing import qpsk_demap
 
 MMSE_REGULARIZATION = 1e-12
 PHASE_REFERENCE_FLOOR = 1e-6
+# largest conditioning of a training block's Gram matrix S S^H
+TRAINING_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class DecodeResult:
         return qpsk_demap(self.hard)
 
 
-def estimate_channel(y_ts, s_ts, cond_limit=1e8):
+def estimate_channel(y_ts, s_ts):
     """Least squares Hhat = Y S^H (S S^H)^-1 over a training block.
 
     y_ts: (n_r, T_ts) received samples; s_ts: (n_t, T_ts) known symbols.
@@ -77,7 +79,7 @@ def estimate_channel(y_ts, s_ts, cond_limit=1e8):
         raise ValueError("TS shorter than the transmit channel count")
     gram = s_ts @ s_ts.conj().T
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > TRAINING_COND_LIMIT:
         raise ValueError(
             f"training block is rank deficient (gram conditioning {cond:.3e}); "
             "channels must carry decorrelated training sequences"

@@ -91,6 +91,8 @@ class FrameLayout:
     data_seed: int = 303
 
     def __post_init__(self):
+        if self.pilot_period < 1:
+            raise ValueError(f"pilot_period={self.pilot_period!r} must be >= 1")
         if (self.frame_len - self.ts_len) % self.pilot_period != 0:
             raise ValueError("payload length must divide into pilot periods")
         if self.ts_len % 6 != 0:

@@ -26,6 +26,7 @@ from .framing import FrameLayout, assemble_frames, mode_delays
 
 HD_FEC_LIMIT = 4.7e-3
 DECODERS = ("mmse", "sic")
+BER_BINS_PER_DECADE = 2
 
 
 # element type of each tuple-valued ExperimentConfig field
@@ -42,7 +43,8 @@ def _valid(value, kind):
     """Whether a config value has the type kind.
 
     Bools are not numbers, ints pass as floats, and NaN never passes.
-    Infinity does: osnr_db = inf means a noiseless channel.
+    Infinity does: osnr_db = inf means a noiseless channel (and -inf is
+    rejected by ExperimentConfig).
     """
     is_bool = isinstance(value, (bool, np.bool_))
     if kind is bool or is_bool:
@@ -117,6 +119,10 @@ class ExperimentConfig:
             raise ValueError("unknown transmit mode label")
         if not set(self.rx_modes) <= set(optics.LP_TO_LG):
             raise ValueError("unknown receive mode label")
+        if -np.inf in (self.osnr_db, *self.osnr_grid):
+            raise ValueError("config osnr_db or osnr_grid is -inf dB: no noise variance")
+        if self.layout.data_per_frame < 1:
+            raise ValueError("config frame_len, ts_len and pilot_period leave no data symbol")
 
     @property
     def n_t(self):
@@ -457,12 +463,12 @@ class MonteCarloSummary:
     histogram: dict  # decoder -> list of (bin_low, bin_high, count)
 
 
-def ber_histogram(bers, bins_per_decade=2):
-    """Logarithmic BER histogram with half-decade bins by default."""
+def ber_histogram(bers):
+    """Logarithmic BER histogram in half-decade bins."""
     bers = np.maximum(np.asarray(bers, dtype=float), 1e-9)
-    lo = np.floor(np.log10(bers.min()) * bins_per_decade) / bins_per_decade
-    lo = min(lo, -1.0 / bins_per_decade)
-    edges = 10.0 ** np.arange(lo, -1e-9, 1.0 / bins_per_decade)
+    lo = np.floor(np.log10(bers.min()) * BER_BINS_PER_DECADE) / BER_BINS_PER_DECADE
+    lo = min(lo, -1.0 / BER_BINS_PER_DECADE)
+    edges = 10.0 ** np.arange(lo, -1e-9, 1.0 / BER_BINS_PER_DECADE)
     edges = np.append(edges, 1.0)
     counts, _ = np.histogram(bers, bins=edges)
     return [

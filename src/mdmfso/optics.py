@@ -37,6 +37,9 @@ DEFAULT_WAIST = 2.1e-3
 TX_MODES = ("LP01", "LP11a", "LP11b", "LP21a", "LP21b")
 RX_MODES = ("LP01", "LP11a", "LP11b", "LP21a", "LP21b", "LP02")
 
+# aperture pixels per block of ModalCoupler.coupling
+COUPLING_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class GridGeometry:
@@ -198,14 +201,16 @@ def mode_field(spec, grid, terms=None):
     """Evaluate a ModeSpec on the grid; rejects badly clipped waists.
 
     The analytic fields carry unit continuum energy, so the energy
-    captured on the raster measures clipping directly. `terms` shares
-    an LGTerms cache of the same grid across several fields. The field
-    is a real float64 array (see ModeSpec and LGTerms).
+    captured on the raster measures clipping directly. It is numpy's
+    pairwise sum of the squared field, whose bits do not depend on the
+    BLAS thread count as a BLAS dot product's do. `terms` shares an
+    LGTerms cache of the same grid across several fields. The field is
+    a real float64 array (see ModeSpec and LGTerms).
     """
     if terms is None:
         terms = LGTerms(grid)
     field = terms.field(spec.lg_composition, spec.waist)
-    captured = np.vdot(field, field) * grid.pitch ** 2
+    captured = np.add.reduce(np.square(field), axis=None) * grid.pitch ** 2
     if captured < 0.99:
         raise ValueError(
             f"mode {spec.label}: only {captured:.3f} of the energy falls on the "
@@ -285,7 +290,12 @@ class ModalCoupler:
         """Spatial coupling matrix (n_rx, n_tx) through one phase screen.
 
         e^{j phi} enters as cos + j sin, which keeps the real field
-        stacks in real arithmetic.
+        stacks in real arithmetic. The aperture pixels are taken in
+        blocks of COUPLING_BLOCK, in order; each block adds
+        rx_block @ (tx_block * cos(phi_block)).T, and the same with sin,
+        to an n_rx x n_tx sum. The blocks are fixed, so the bits do not
+        depend on the BLAS thread count, and a block's temporaries stay
+        small.
         """
         if screen.raster.shape != self._shape:
             raise ValueError(
@@ -293,33 +303,14 @@ class ModalCoupler:
                 f"coupler grid {self._shape}"
             )
         raster = screen.raster.ravel()
-        n_tx = len(self._tx)
-        # the products of self._tx * cos(phi), then sin(phi), in one
-        # buffer. They are formed two transmit rows at a time, the last
-        # block taking an odd row, so the buffer holds at most three
-        # rows: blocks of two or more rows give the bits of the whole
-        # product, while a one-row block would go through gemv, which
-        # rounds otherwise. The phasor lives in the buffer's first row,
-        # which only the last block overwrites, and there last.
-        edges = [*range(0, max(n_tx - 1, 1), 2), n_tx]
-        buf = np.empty((min(n_tx, 3), self._pixels.size))
-        phasor = buf[0]
-        parts = []
-        for trig in (np.cos, np.sin):
-            np.take(raster, self._pixels, out=phasor, mode="clip")  # unbuffered
-            trig(phasor, out=phasor)
-            blocks = []
-            for lo, hi in zip(edges, edges[1:]):
-                if hi < n_tx:
-                    prod = buf[1 : 1 + hi - lo]
-                    np.multiply(self._tx[lo:hi], phasor, out=prod)
-                else:
-                    prod = buf[: hi - lo]
-                    np.multiply(self._tx[lo + 1 : hi], phasor, out=prod[1:])
-                    np.multiply(self._tx[lo], phasor, out=prod[0])
-                blocks.append(self._rx @ prod.T)
-            parts.append(np.concatenate(blocks, axis=1))
-        cos_part, sin_part = parts
+        cos_part = np.zeros((len(self._rx), len(self._tx)))
+        sin_part = np.zeros_like(cos_part)
+        for lo in range(0, self._pixels.size, COUPLING_BLOCK):
+            block = slice(lo, lo + COUPLING_BLOCK)
+            phi = raster[self._pixels[block]]
+            tx, rx = self._tx[:, block], self._rx[:, block]
+            cos_part += rx @ (tx * np.cos(phi)).T
+            sin_part += rx @ (tx * np.sin(phi)).T
         return (cos_part + 1j * sin_part) * self._pitch2
 
     def captured_power(self, screen):
@@ -336,18 +327,16 @@ class ModalCoupler:
         )
 
 
-def calibrate_columns(h_blank, target=None):
+def calibrate_columns(h_blank):
     """Static per-column power-balancing scales from the blank-screen channel.
 
-    target defaults to the smallest blank column norm so calibration only
-    attenuates (like the transmit-side VOAs).
+    Every column is scaled to the smallest blank column norm, so
+    calibration only attenuates (like the transmit-side VOAs).
     """
     norms = np.linalg.norm(h_blank, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("blank channel has a zero column norm")
-    if target is None:
-        target = norms.min()
-    return target / norms
+    return norms.min() / norms
 
 
 def polarization_expand(m, calibration=None):

@@ -34,6 +34,7 @@ MAX_WORKERS = 4
 
 MAGIC = b"PHSCRN01"
 _HEADER = struct.Struct("<IddddQ")
+_HEADER_KEYS = ("grid_size", "pitch", "fried", "outer_scale", "inner_scale", "seed")
 
 
 @dataclass(frozen=True)
@@ -421,20 +422,13 @@ def kolmogorov_structure_function(r, fried):
 
 
 def write_screen(path, screen, config):
-    """Write a screen in the PHSCRN01 binary format plus a JSON sidecar."""
-    raster = np.ascontiguousarray(screen.raster, dtype="<f8")
-    header = _HEADER.pack(
-        screen.grid_size,
-        screen.pitch,
-        config.fried,
-        config.outer_scale,
-        config.inner_scale,
-        config.seed & 0xFFFFFFFFFFFFFFFF,
-    )
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header)
-        fh.write(raster.tobytes())
+    """Write a screen in the PHSCRN01 binary format plus a JSON sidecar.
+
+    The header takes the grid size and pitch from the screen and the
+    rest from config; the sidecar takes config. A config that disagrees
+    with the screen (see _check_agreement), whose file read_screen would
+    reject, raises ValueError before anything is written.
+    """
     sidecar = {
         "grid_size": config.grid_size,
         "physical_length": config.physical_length,
@@ -444,6 +438,15 @@ def write_screen(path, screen, config):
         "subharmonic_levels": config.subharmonic_levels,
         "seed": config.seed,
     }
+    header = {key: sidecar[key] for key in ("fried", "outer_scale", "inner_scale")}
+    header.update(grid_size=screen.grid_size, pitch=screen.pitch)
+    header["seed"] = config.seed & 0xFFFFFFFFFFFFFFFF
+    _check_agreement(sidecar, header)
+    raster = np.ascontiguousarray(screen.raster, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(_HEADER.pack(*(header[key] for key in _HEADER_KEYS)))
+        fh.write(raster.tobytes())
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -451,9 +454,8 @@ def write_screen(path, screen, config):
 
 def _check_sidecar(path, header):
     """Raise ValueError unless the JSON sidecar of the screen file at path
-    is missing or agrees exactly with its header: grid_size, fried,
-    outer_scale, inner_scale, seed mod 2^64 (as the header keeps it), and
-    physical_length / grid_size against the pitch."""
+    is missing or holds a number for each key it shares with the header
+    and agrees with it (see _check_agreement)."""
     try:
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)  # malformed JSON raises a ValueError
@@ -462,7 +464,15 @@ def _check_sidecar(path, header):
     keys = ("grid_size", "fried", "outer_scale", "inner_scale", "seed", "physical_length")
     if not isinstance(meta, dict) or any(type(meta.get(k)) not in (int, float) for k in keys):
         raise ValueError(f"sidecar lacks a number for one of {', '.join(keys)}")
-    found = {key: meta[key] for key in keys[:4]}
+    _check_agreement(meta, header)
+
+
+def _check_agreement(meta, header):
+    """Raise ValueError unless the sidecar values meta agree exactly with
+    the header's: grid_size, fried, outer_scale, inner_scale, seed mod
+    2^64 (as the header keeps it), and physical_length / grid_size
+    against the pitch."""
+    found = {key: meta[key] for key in ("grid_size", "fried", "outer_scale", "inner_scale")}
     found["seed"] = meta["seed"] % (1 << 64)
     for key, value in found.items():
         if value != header[key]:
@@ -490,7 +500,8 @@ def read_screen(path):
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise ValueError(f"truncated header: {len(head)} of {_HEADER.size} bytes")
-        grid_size, pitch, fried, outer, inner, seed = _HEADER.unpack(head)
+        header = dict(zip(_HEADER_KEYS, _HEADER.unpack(head)))
+        grid_size, pitch = header["grid_size"], header["pitch"]
         if grid_size == 0:
             raise ValueError("zero grid size in header")
         if not (np.isfinite(pitch) and pitch > 0.0):
@@ -503,13 +514,5 @@ def read_screen(path):
             raise ValueError(f"{left - expected} trailing bytes after the raster")
         data = fh.read(expected)
     raster = np.frombuffer(data, dtype="<f8").reshape(grid_size, grid_size)
-    header = {
-        "grid_size": grid_size,
-        "pitch": pitch,
-        "fried": fried,
-        "outer_scale": outer,
-        "inner_scale": inner,
-        "seed": seed,
-    }
     _check_sidecar(path, header)
     return PhaseScreen(raster=raster.copy(), pitch=pitch), header

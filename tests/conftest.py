@@ -7,9 +7,9 @@ from mdmfso import screens
 
 
 def pytest_report_header(config):
-    # the GOLDEN hashes of the coupling path hold at one BLAS thread count
-    # (OpenBLAS's default of 2 where they were recorded): a failing hash
-    # should show the thread setting at a glance
+    # the GOLDEN hashes hold at any BLAS thread count, but are bit-exact
+    # only for one numpy and BLAS build: a failing hash should show the
+    # build and the thread setting at a glance
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     return [

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdmfso
 from mdmfso import channel, dsp, harness, screens
@@ -42,6 +44,25 @@ FAST = dict(
     n_frames=1,
     realizations=2,
 )
+
+
+# what a JSON config may hold: no value, a value of another type, or one
+# of the field's own type, often small or the default
+JUNK = st.none() | st.text(max_size=3) | st.lists(st.integers(), max_size=2)
+_KIND_VALUES = {
+    int: st.integers(-2, 3) | st.integers(),
+    float: st.floats() | st.sampled_from([-np.inf, 0.0, 1e-3]),
+    bool: st.booleans(),
+    str: st.sampled_from(["mmse", "sic", "both", "turbulent", "blank", "unitary", "LP01"]),
+    tuple: st.lists(
+        st.sampled_from(["LP01", "LP11a", "LP02", "LP99"]) | st.floats() | st.integers(),
+        max_size=3,
+    ),
+}
+CONFIG_VALUES = {
+    f.name: st.just(f.default) | _KIND_VALUES[type(f.default)] | JUNK
+    for f in fields(ExperimentConfig)
+}
 
 
 class TestConfig:
@@ -84,6 +105,35 @@ class TestConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"pilot_period": 0}, "pilot_period=0 must be >= 1"),
+            ({"pilot_period": -10}, "pilot_period=-10 must be >= 1"),
+            ({"frame_len": 1680}, "leave no data symbol"),
+            ({"frame_len": 1620}, "leave no data symbol"),
+            ({"pilot_period": 1}, "leave no data symbol"),
+            ({"osnr_db": -np.inf}, "osnr_db or osnr_grid is -inf dB"),
+            ({"osnr_grid": (10.0, -np.inf)}, "osnr_db or osnr_grid is -inf dB"),
+        ],
+    )
+    def test_unusable_link_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**kwargs)
+
+    @given(
+        st.sets(st.sampled_from(sorted(CONFIG_VALUES) + ["nope"]), max_size=4).flatmap(
+            lambda keys: st.fixed_dictionaries({k: CONFIG_VALUES.get(k, JUNK) for k in keys})
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_from_dict_returns_config_or_raises_value_error(self, data):
+        try:
+            cfg = ExperimentConfig.from_dict(data)
+        except ValueError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
     def test_aperture_larger_than_raster_rejected(self):
         with pytest.raises(ValueError, match="config aperture_diameter=0.009 exceeds"):
@@ -240,6 +290,17 @@ class TestPipeline:
         np.testing.assert_allclose(
             h.conj().T @ h, np.eye(cfg.n_t), atol=1e-12
         )
+
+    def test_equalizer_lowers_sic_ber_under_isi(self):
+        # the pilot-driven LMS bank undoes most of a 3-tap intersymbol
+        # interference that the memoryless decoders leave in
+        cfg = ExperimentConfig(
+            **FAST, seed=1, osnr_db=30.0, isi_taps=(0.3, 1.0, 0.2), decoder="sic"
+        )
+        plain = run_realization(cfg)["sic"].ber_avg
+        equalized = replace(cfg, use_equalizer=True, equalizer_step=1e-2)
+        assert plain > 5e-3
+        assert run_realization(equalized)["sic"].ber_avg < plain / 20
 
     def test_monte_carlo_summary(self):
         cfg = ExperimentConfig(**FAST, osnr_db=18.0)
@@ -493,7 +554,7 @@ GOLDEN = {
     },
     "stats": {
         "structure_function.csv": "cf064873da040ae6bf97521d976d4f92d8af96a6f2ffdf51c04ac0e0b8cd6517",
-        "scintillation.json": "385e212b6db98cd6c2cc8d1fee2fca2d98b4e92d83fd2f632a3fe89b2c0fe71c",
+        "scintillation.json": "74c17f209969d0c4a30403dce54c8365e836c1e25b249d0fbe40d3735f70b71e",
     },
     "monte-carlo": {
         "realizations.csv": "2adcc8f1d536e5ddcb04da1fee1d19146cc14ed43f387da2ba6e93a418ee3d9e",
@@ -506,6 +567,13 @@ GOLDEN = {
 def hashes(out):
     """sha256 of every file in the directory out, by file name."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def package_env(**overrides):
+    """os.environ with this mdmfso first on PYTHONPATH, for a subprocess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdmfso.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 class TestCli:
@@ -585,6 +653,21 @@ class TestCli:
         assert cli_main(argv) == 0
         assert hashes(out) == GOLDEN["monte-carlo"]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command, count", [("stats", "30"), ("monte-carlo", "3")])
+    def test_golden_at_any_blas_thread_count(self, tmp_path, config_file, command, count, threads):
+        # BLAS reads its thread count when it loads, so each count runs
+        # in a fresh process
+        out = tmp_path / "out"
+        argv = [command, "--config", config_file, "--count", count, "--out", str(out)]
+        subprocess.run(
+            [sys.executable, "-m", "mdmfso.cli", *argv],
+            env=package_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+            capture_output=True,
+            check=True,
+        )
+        assert hashes(out) == GOLDEN[command]
+
     def test_sweep_independent_of_worker_count(self, tmp_path, config_file, set_workers):
         outputs = []
         for workers in (1, 3):
@@ -619,6 +702,20 @@ class TestCli:
         assert not (tmp_path / "mc").exists()
 
     @pytest.mark.parametrize(
+        "data",
+        [{"pilot_period": 0}, {"frame_len": 1680}, {"pilot_period": 1}, {"osnr_db": -np.inf}],
+        ids=["no_pilot_period", "no_payload", "all_pilots", "minus_inf_osnr"],
+    )
+    def test_unusable_link_exits_1(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**FAST, **data}))
+        rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
         "argv", [["gen-screens", "0"], ["gen-screens", "-3"], ["stats", "10"],
                  ["monte-carlo", "0"], ["monte-carlo", "-3"]],
     )
@@ -640,8 +737,6 @@ class TestCli:
 def test_import_leaves_scipy_unloaded():
     # scipy and the thread pool are imported only by the functions that
     # use them, so that importing the package (every CLI run) stays cheap
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mdmfso.__file__)))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     code = (
         "import sys, mdmfso; "
         "print(sorted(m for m in sys.modules if m.startswith(("
@@ -649,7 +744,7 @@ def test_import_leaves_scipy_unloaded():
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=package_env(),
         capture_output=True,
         text=True,
         check=True,

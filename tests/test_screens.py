@@ -524,6 +524,40 @@ class TestFileFormat:
         assert read_screen(path)[1]["seed"] == 7
 
 
+@pytest.fixture(scope="module")
+def small_screen():
+    return generate_screen(SMALL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid_size=st.sampled_from([SMALL.grid_size, SMALL.grid_size // 2, 2 * SMALL.grid_size]),
+    length=st.sampled_from([1.0, 2.0, 1.01]),
+    seed=st.integers(-(2 ** 70), 2 ** 70),
+)
+def test_write_screen_writes_only_what_read_screen_reads(
+    small_screen, tmp_path_factory, grid_size, length, seed
+):
+    # a config of another grid size or pitch than the screen is refused
+    # before any file is written; any other is read back as written
+    config = replace(
+        SMALL, grid_size=grid_size, physical_length=length * SMALL.physical_length, seed=seed
+    )
+    path = tmp_path_factory.mktemp("roundtrip") / "s.phs"
+    sidecar = path.with_name(path.name + ".json")
+    matches = grid_size == SMALL.grid_size and length == 1.0
+    if not matches:
+        with pytest.raises(ValueError, match="disagrees with the header"):
+            write_screen(path, small_screen, config)
+        assert not path.exists() and not sidecar.exists()
+        return
+    write_screen(path, small_screen, config)
+    loaded, header = read_screen(path)
+    np.testing.assert_array_equal(loaded.raster, small_screen.raster)
+    assert header["seed"] == seed % 2 ** 64
+    assert json.loads(sidecar.read_text())["seed"] == seed
+
+
 TINY = ScreenConfig(fried=0.8e-3, grid_size=8, subharmonic_levels=1, seed=3)
 
 
