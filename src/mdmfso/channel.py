@@ -71,15 +71,23 @@ class IsiConfig:
 def osnr_to_n0(osnr_db, baud, per_channel_signal_power):
     """Per-sample complex noise variance from OSNR (dB, 12.5 GHz reference).
 
-    n0 = P_ch * baud / (OSNR_linear * 2 * B_ref). OSNR +inf maps to 0;
-    -inf, which has no noise variance, raises ValueError.
+    n0 = P_ch * baud / (OSNR_linear * 2 * B_ref). OSNR +inf, or one too
+    large for a float in linear units (above about 3083 dB), maps to 0.
+    -inf, or an OSNR so low that n0 is not a finite float (below about
+    -3080 dB at unit power and the default baud), has no noise variance
+    and raises ValueError.
     """
     if baud <= 0:
         raise ValueError("baud must be positive")
-    if osnr_db == -np.inf:
-        raise ValueError("OSNR of -inf dB has no noise variance")
-    osnr = 10.0 ** (osnr_db / 10.0)
-    return per_channel_signal_power * baud / (osnr * 2.0 * REFERENCE_BANDWIDTH)
+    try:
+        osnr = 10.0 ** (osnr_db / 10.0)
+    except OverflowError:
+        osnr = np.inf
+    denominator = osnr * 2.0 * REFERENCE_BANDWIDTH
+    n0 = per_channel_signal_power * baud / denominator if denominator else np.inf
+    if n0 == np.inf:
+        raise ValueError(f"OSNR of {osnr_db} dB has no finite noise variance")
+    return n0
 
 
 def wiener_phase(n_symbols, n_rx, config):

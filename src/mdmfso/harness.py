@@ -10,6 +10,12 @@ which every coupling goes, and one set of transmit frames; sweep_osnr
 also builds its one channel matrix. run_realization, called alone,
 builds its own. Their realizations and OSNR points then run on the
 ordered worker map of screens._ordered_map, in input order.
+
+A realization's screen is made in one place, build_channel (through
+realization_screen). Several mode sets share one turbulence ensemble by
+their channel matrices: a caller couples each realization screen once
+per mode set and hands each set's matrices to monte_carlo(config,
+channels=...), which then builds no coupler and makes no screen.
 """
 
 from dataclasses import dataclass, asdict, fields, replace
@@ -224,8 +230,9 @@ def realization_screen(config, realization):
     )
 
 
-def build_channel(config, realization, coupler=None, screen=None):
-    """True channel matrix for one realization of the configured kind."""
+def build_channel(config, realization, coupler=None):
+    """True channel matrix for one realization of the configured kind;
+    a turbulent one couples realization_screen(config, realization)."""
     if config.channel_kind == "unitary":
         from scipy.stats import unitary_group
 
@@ -241,9 +248,7 @@ def build_channel(config, realization, coupler=None, screen=None):
         coupler = ModalCoupler(config)
     if config.channel_kind == "blank":
         return coupler.channel_matrix(None)
-    if screen is None:
-        screen = realization_screen(config, realization)
-    return coupler.channel_matrix(screen)
+    return coupler.channel_matrix(realization_screen(config, realization))
 
 
 def theoretical_reference(osnr_grid, baud=channel_mod.DEFAULT_BAUD):
@@ -363,16 +368,15 @@ def decode_stream(y, frame, config, n0, h_true=None):
     return acc, cond
 
 
-def run_realization(
-    config, realization=0, coupler=None, screen=None, h=None, frame=None
-):
+def run_realization(config, realization=0, coupler=None, h=None, frame=None):
     """One full pipeline pass; paired decoders share the received samples.
 
-    coupler, screen, h and frame let a caller pass what it built once
-    (see build_channel and build_frames); each is built here when None.
+    coupler, h and frame let a caller pass what it built once (see
+    build_channel and build_frames); each is built here when None, and
+    the coupler is not used when h is given.
     """
     if h is None:
-        h = build_channel(config, realization, coupler=coupler, screen=screen)
+        h = build_channel(config, realization, coupler=coupler)
     if frame is None:
         frame = build_frames(config)
     n0 = channel_mod.osnr_to_n0(config.osnr_db, config.baud, 1.0)
@@ -477,25 +481,26 @@ def ber_histogram(bers):
     ]
 
 
-def monte_carlo(config, screen_batch=None):
+def monte_carlo(config, channels=None):
     """Paired Monte-Carlo ensemble of config.realizations independent
     turbulence screens.
 
-    screen_batch optionally supplies pre-generated screens (one per
-    realization), so several mode-set configurations can share one
-    turbulence ensemble.
+    channels optionally supplies realization r's ChannelMatrix as
+    channels[r], for example build_channel(config, r) or a coupling of
+    realization_screen(config, r) made alongside other mode sets'; no
+    coupler is built and no screen is made then.
     """
     count = config.realizations
-    if screen_batch is not None and len(screen_batch) < count:
-        raise ValueError("screen_batch shorter than the realization count")
-    coupler = ModalCoupler(config) if config.channel_kind != "unitary" else None
+    if channels is not None and len(channels) < count:
+        raise ValueError("channels shorter than the realization count")
+    coupler = None
+    if channels is None and config.channel_kind != "unitary":
+        coupler = ModalCoupler(config)
     frame = build_frames(config)
 
     def realization(r):
-        screen = None if screen_batch is None else screen_batch[r]
-        return run_realization(
-            config, realization=r, coupler=coupler, screen=screen, frame=frame
-        )
+        h = None if channels is None else channels[r]
+        return run_realization(config, realization=r, coupler=coupler, h=h, frame=frame)
 
     reports = {d: [] for d in config.decoders}
     for pipe in screens._ordered_map(realization, range(count)):
@@ -554,15 +559,15 @@ def power_statistics(powers):
     }
 
 
-def scintillation_stats(screen_list, config):
+def scintillation_stats(ensemble, config):
     """power_statistics of the captured-power proxy of each screen (see
     ModalCoupler.captured_power), computed on worker threads in screen
-    order."""
-    check_stats_count(len(screen_list))
+    order. `ensemble` may be any iterable of screens, such as a list or
+    a generator over an iter_screens stream, and is read once."""
     coupler = ModalCoupler(config)
-    return power_statistics(
-        list(screens._ordered_map(coupler.captured_power, screen_list))
-    )
+    powers = list(screens._ordered_map(coupler.captured_power, ensemble))
+    check_stats_count(len(powers))
+    return power_statistics(powers)
 
 
 def net_spectral_efficiency(

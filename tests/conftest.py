@@ -1,4 +1,5 @@
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ def pytest_report_header(config):
         f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}",
         f"os.cpu_count() {os.cpu_count()}, OPENBLAS_NUM_THREADS {threads}",
     ]
+
+
+def pytest_terminal_summary(terminalreporter):
+    # the memory the suite needs, read off every run; ru_maxrss is in KiB
+    # on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    terminalreporter.write_line(f"peak RSS of the pytest process: {peak:.0f} MiB")
 
 
 @pytest.fixture()

@@ -1,8 +1,9 @@
 """End-to-end acceptance suite.
 
 Each test is one acceptance criterion; `pytest -v` therefore prints one
-pass/fail line per criterion. Ensembles that several criteria share
-(the 120 strong-turbulence screens) are built once per session.
+pass/fail line per criterion. The 120 strong-turbulence realization
+screens that criteria 02, 05 and 08 share are walked once per session,
+and only what each criterion reads of them is kept.
 """
 
 from dataclasses import replace
@@ -19,15 +20,27 @@ from mdmfso.framing import QPSK, balanced_qpsk
 from mdmfso.harness import (
     ExperimentConfig,
     monte_carlo,
+    power_statistics,
     realization_screen,
-    run_realization,
     scintillation_stats,
     sweep_osnr,
     theoretical_reference,
 )
+from mdmfso.optics import ModalCoupler
 
 SEED = 0
 ENSEMBLE = 120
+
+# criterion 08's mode sets by (n_t, n_r): the default 10x12, three
+# transmit modes, and the receive set without LP02
+TX6 = ("LP01", "LP11a", "LP11b")
+RX10 = ("LP01", "LP11a", "LP11b", "LP21a", "LP21b")
+MODE_SETS = {
+    (10, 12): {},
+    (6, 12): {"tx_modes": TX6},
+    (10, 10): {"rx_modes": RX10},
+    (6, 10): {"tx_modes": TX6, "rx_modes": RX10},
+}
 
 
 def errors(report):
@@ -35,17 +48,37 @@ def errors(report):
 
 
 @pytest.fixture(scope="session")
-def strong_screens():
-    """120 strong-turbulence screens, the very ones the Monte-Carlo
-    harness draws, so results match runs without a screen batch."""
-    cfg = ExperimentConfig(seed=SEED)
-    return [realization_screen(cfg, r) for r in range(ENSEMBLE)]
+def strong_ensemble():
+    """The 120 strong-turbulence screens that monte_carlo draws, each
+    made once and coupled through every mode set's own coupler.
+
+    Returns the config of each mode set, its channel matrix per
+    realization (as monte_carlo(config) would build them) and the
+    default coupler's captured power per screen. Only the screens in
+    flight on the worker map are held, not the 885 MB ensemble.
+    """
+    base = ExperimentConfig(seed=SEED, realizations=ENSEMBLE)
+    configs = {key: replace(base, **modes) for key, modes in MODE_SETS.items()}
+    couplers = {key: ModalCoupler(cfg) for key, cfg in configs.items()}
+
+    def couple(r):
+        screen = realization_screen(base, r)
+        channels = {key: c.channel_matrix(screen) for key, c in couplers.items()}
+        return channels, couplers[(10, 12)].captured_power(screen)
+
+    channels = {key: [] for key in configs}
+    powers = []
+    for per_set, power in screens._ordered_map(couple, range(ENSEMBLE)):
+        for key, h in per_set.items():
+            channels[key].append(h)
+        powers.append(power)
+    return configs, channels, powers
 
 
 @pytest.fixture(scope="session")
-def ensemble_10x12(strong_screens):
-    cfg = ExperimentConfig(seed=SEED, realizations=ENSEMBLE)
-    return monte_carlo(cfg, screen_batch=strong_screens)
+def ensemble_10x12(strong_ensemble):
+    configs, channels, _ = strong_ensemble
+    return monte_carlo(configs[(10, 12)], channels=channels[(10, 12)])
 
 
 def test_criterion_01_screen_statistics():
@@ -59,8 +92,7 @@ def test_criterion_01_screen_statistics():
     seps = ks * base.pitch
 
     def streamed_sf(levels):
-        # one screen at a time: 200 rasters at the full grid would not
-        # fit in memory alongside the session fixtures
+        # one screen at a time: 200 rasters at the full grid take 1.5 GB
         cfg = replace(base, subharmonic_levels=levels)
         stream = (screen for _, screen in screens.iter_screens(cfg, count))
         return screens.structure_function(stream, seps)
@@ -79,15 +111,15 @@ def test_criterion_01_screen_statistics():
     )
 
 
-def test_criterion_02_scintillation_contrast(strong_screens):
+def test_criterion_02_scintillation_contrast(strong_ensemble):
     # sigma_I^2(r0 = 0.8 mm) > 5 x sigma_I^2(r0 = 3.0 mm), lognormal
     # KS distance < 0.15 for both batches of 120 screens
-    strong_cfg = ExperimentConfig(seed=SEED)
+    _, _, strong_powers = strong_ensemble
     weak_cfg = ExperimentConfig(seed=SEED, fried=3.0e-3)
-    weak_screens = screens.batch_generate(weak_cfg.screen_config(), ENSEMBLE)
+    weak_screens = screens.iter_screens(weak_cfg.screen_config(), ENSEMBLE)
 
-    strong = scintillation_stats(strong_screens, strong_cfg)
-    weak = scintillation_stats(weak_screens, weak_cfg)
+    strong = power_statistics(strong_powers)
+    weak = scintillation_stats((screen for _, screen in weak_screens), weak_cfg)
     # experimental anchors for comparison only (different geometry):
     # sigma_I^2 = 0.079 (strong) and 0.0050 (weak)
     print(
@@ -192,23 +224,13 @@ def test_criterion_07_first_stage_equality():
         assert np.array_equal(sic.soft[first], mmse.soft[first])
 
 
-def test_criterion_08_redundancy_gain(strong_screens, ensemble_10x12):
+def test_criterion_08_redundancy_gain(strong_ensemble, ensemble_10x12):
     # same 120 screens: BER(6x12) <= BER(10x12), BER(N_r=12) <= BER(N_r=10)
     # per decoder; outage(SIC) <= outage(MMSE) in every configuration
-    tx6 = ("LP01", "LP11a", "LP11b")
-    rx10 = ("LP01", "LP11a", "LP11b", "LP21a", "LP21b")  # LP02 dropped
-
-    def run(tx, rx):
-        cfg = ExperimentConfig(
-            seed=SEED, realizations=ENSEMBLE, tx_modes=tx, rx_modes=rx
-        )
-        return monte_carlo(cfg, screen_batch=strong_screens)
-
+    configs, channels, _ = strong_ensemble
     results = {
-        (10, 12): ensemble_10x12,
-        (6, 12): run(tx6, ExperimentConfig().rx_modes),
-        (10, 10): run(ExperimentConfig().tx_modes, rx10),
-        (6, 10): run(tx6, rx10),
+        key: ensemble_10x12 if key == (10, 12) else monte_carlo(cfg, channels=channels[key])
+        for key, cfg in configs.items()
     }
     for name in ("mmse", "sic"):
         avg = {k: v.averages[name] for k, v in results.items()}

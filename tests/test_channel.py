@@ -35,6 +35,16 @@ class TestOsnr:
         with pytest.raises(ValueError, match="-inf dB"):
             osnr_to_n0(-np.inf, DEFAULT_BAUD, 1.0)
 
+    @pytest.mark.parametrize("osnr_db", [3090.0, 4000.0, 1e300])
+    def test_beyond_float_range_is_noiseless(self, osnr_db):
+        # 10 ** (osnr_db / 10) overflows a float here: a noiseless link, as +inf
+        assert osnr_to_n0(osnr_db, DEFAULT_BAUD, 1.0) == 0.0
+
+    @pytest.mark.parametrize("osnr_db", [-3090.0, -4000.0, -1e300])
+    def test_no_finite_noise_variance(self, osnr_db):
+        with pytest.raises(ValueError, match="no finite noise variance"):
+            osnr_to_n0(osnr_db, DEFAULT_BAUD, 1.0)
+
     def test_bad_baud(self):
         with pytest.raises(ValueError):
             osnr_to_n0(10.0, 0.0, 1.0)

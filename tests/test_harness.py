@@ -33,6 +33,7 @@ from mdmfso.harness import (
     write_histogram_csv,
     write_run_csv,
 )
+from mdmfso.optics import ModalCoupler
 from mdmfso.screens import read_screen
 
 # small geometry keeps unit-level pipeline runs fast; the aperture still
@@ -253,6 +254,14 @@ class TestScintillation:
         assert np.array_equal(runs[0]["powers"], runs[1]["powers"])
         assert runs[0]["scintillation_index"] == runs[1]["scintillation_index"]
 
+    def test_stats_read_a_stream_once(self):
+        cfg = ExperimentConfig(**FAST)
+        batch = screens.batch_generate(cfg.screen_config(), 30)
+        streamed = scintillation_stats((screen for screen in batch), cfg)
+        assert np.array_equal(streamed["powers"], scintillation_stats(batch, cfg)["powers"])
+        with pytest.raises(ValueError, match="at least 30"):
+            scintillation_stats(iter(batch[:29]), cfg)
+
     def test_stats_on_small_ensemble(self):
         cfg = ExperimentConfig(**FAST)
         batch = screens.batch_generate(cfg.screen_config(), 30)
@@ -311,17 +320,36 @@ class TestPipeline:
             counts = sum(n for _, _, n in summary.histogram[name])
             assert counts == 2
 
-    def test_realization_screens_reproduce_the_ensemble(self):
+    def test_given_channels_reproduce_the_ensemble(self, monkeypatch):
         cfg = ExperimentConfig(**FAST, osnr_db=18.0)
-        batch = [realization_screen(cfg, r) for r in range(cfg.realizations)]
-        assert monte_carlo(cfg, screen_batch=batch).reports == monte_carlo(cfg).reports
+        channels = [build_channel(cfg, r) for r in range(cfg.realizations)]
+        expected = monte_carlo(cfg).reports
+
+        def no_coupler(config):
+            raise AssertionError("monte_carlo built a coupler for given channels")
+
+        monkeypatch.setattr(harness, "ModalCoupler", no_coupler)
+        assert monte_carlo(cfg, channels=channels).reports == expected
+
+    def test_other_mode_set_couples_the_same_screen(self):
+        # the acceptance ensemble couples each realization screen through
+        # every mode set's own coupler: the channel build_channel makes
+        # for that mode set, bit for bit
+        cfg = ExperimentConfig(**FAST)
+        other = replace(cfg, tx_modes=("LP01", "LP11b"), rx_modes=("LP01", "LP11a", "LP21a", "LP02"))
+        coupler = ModalCoupler(other)
+        for r in range(cfg.realizations):
+            h = coupler.channel_matrix(realization_screen(cfg, r))
+            expected = build_channel(other, r)
+            assert np.array_equal(h.h, expected.h)
+            assert np.array_equal(h.calibration, expected.calibration)
 
     def test_monte_carlo_validation(self):
         cfg = ExperimentConfig(**FAST)
         with pytest.raises(ValueError):
             monte_carlo(replace(cfg, realizations=0))
-        with pytest.raises(ValueError):
-            monte_carlo(replace(cfg, realizations=2), screen_batch=[None])
+        with pytest.raises(ValueError, match="channels shorter"):
+            monte_carlo(replace(cfg, realizations=2), channels=[build_channel(cfg, 0)])
 
     def test_sweep_requires_grid(self):
         with pytest.raises(ValueError, match="osnr_grid"):
@@ -714,6 +742,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("osnr_db, rc", [(4000.0, 0), (-4000.0, 1)])
+    def test_osnr_beyond_float_range(self, tmp_path, capsys, osnr_db, rc):
+        # 10 ** 400 overflows a float: a noiseless link, as at +inf; at
+        # -4000 dB the noise variance is not a finite float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST, "osnr_db": osnr_db}))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == rc
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if rc:
+            assert err.startswith("error: ") and "no finite noise variance" in err
 
     @pytest.mark.parametrize(
         "argv", [["gen-screens", "0"], ["gen-screens", "-3"], ["stats", "10"],

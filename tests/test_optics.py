@@ -254,6 +254,10 @@ def reference_coupler(grid, tx, rx, aperture, raster):
     }
     tx_stack = np.stack([fields[s] for s in tx])
     rx_stack = np.stack([fields[s] for s in rx])
+    # the full-raster LG factors and the fields are not needed past here;
+    # at the default grid they would hold about 100 MB under the whole
+    # product's complex temporaries
+    del terms, fields
     blank = (rx_stack @ tx_stack.T).astype(complex) * grid.pitch ** 2
     phi = raster.ravel()[pixels]
     cos_sum = sin_sum = 0.0
