@@ -65,7 +65,10 @@ class IsiConfig:
     @classmethod
     def normalized(cls, taps):
         taps = np.asarray(taps, dtype=complex)
-        return cls(taps=tuple(taps / np.sqrt(np.sum(np.abs(taps) ** 2))))
+        norm = np.sqrt(np.sum(np.abs(taps) ** 2))
+        if not 0 < norm < np.inf:
+            raise ValueError("taps must have a finite, nonzero energy")
+        return cls(taps=tuple(taps / norm))
 
 
 def osnr_to_n0(osnr_db, baud, per_channel_signal_power):
@@ -108,6 +111,20 @@ def wiener_phase(n_symbols, n_rx, config):
     return phi
 
 
+def fir_same(symbols, taps):
+    """Each row of symbols through the odd-length FIR taps, as a direct
+    sum: the centred "same"-length convolution, out[t] = sum_m taps[m]
+    symbols[t + len(taps) // 2 - m], zero outside the stream."""
+    taps = np.asarray(taps, dtype=complex)
+    half = taps.size // 2
+    n = symbols.shape[1]
+    padded = np.pad(symbols, ((0, 0), (half, half)))
+    out = np.zeros(symbols.shape, dtype=complex)
+    for m, tap in enumerate(taps):
+        out += tap * padded[:, 2 * half - m : 2 * half - m + n]
+    return out
+
+
 def propagate(frame, h, phase, noise, isi=None):
     """Apply the MIMO system model; returns the (N_r, T) received streams."""
     symbols = frame.symbols if isinstance(frame, Frame) else np.asarray(frame)
@@ -118,13 +135,7 @@ def propagate(frame, h, phase, noise, isi=None):
     if phase is not None and phase.shape != (n_r, symbols.shape[1]):
         raise ValueError("phase trajectories must be (n_r, n_symbols)")
 
-    if isi is not None and len(isi.taps) > 1:
-        from scipy.signal import fftconvolve
-
-        taps = np.asarray(isi.taps, dtype=complex)
-        shaped = fftconvolve(symbols, taps[None, :], mode="same", axes=1)
-    else:
-        shaped = symbols
+    shaped = symbols if isi is None or len(isi.taps) == 1 else fir_same(symbols, isi.taps)
 
     # complex even for a real channel and real symbols: written in place below
     y = (h_mat @ shaped).astype(complex, copy=False)

@@ -3,7 +3,9 @@
 Subcommands: gen-screens, stats, run, sweep, monte-carlo. Every
 subcommand takes --config (JSON file of ExperimentConfig keys), --seed
 (override), --decoder and --out, and exits 0 on success or 1 with a
-diagnostic on any module error.
+diagnostic on any module error. Every subcommand but gen-screens, which
+writes its screens as they stream, creates --out only once its
+computation has succeeded.
 """
 
 import argparse
@@ -99,8 +101,8 @@ def cmd_stats(args):
 
 def cmd_run(args):
     cfg = _load_config(args)
-    out = harness.ensure_out_dir(args.out)
     reports = harness.run_realization(cfg, realization=args.realization)
+    out = harness.ensure_out_dir(args.out)
     harness.write_run_csv(os.path.join(out, "run.csv"), reports)
     for name in sorted(reports):
         rep = reports[name]
@@ -116,8 +118,8 @@ def cmd_sweep(args):
     cfg = _load_config(args)
     if args.osnr:
         cfg = replace(cfg, osnr_grid=tuple(args.osnr))
-    out = harness.ensure_out_dir(args.out)
     rows = harness.sweep_osnr(cfg)
+    out = harness.ensure_out_dir(args.out)
     harness.write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
     for row in rows:
         print(
@@ -131,8 +133,8 @@ def cmd_monte_carlo(args):
     cfg = _load_config(args)
     if args.count is not None:
         cfg = replace(cfg, realizations=args.count)
-    out = harness.ensure_out_dir(args.out)
     summary = harness.monte_carlo(cfg)
+    out = harness.ensure_out_dir(args.out)
     harness.write_run_csv(os.path.join(out, "realizations.csv"), summary.reports)
     harness.write_summary(os.path.join(out, "summary.json"), summary)
     harness.write_histogram_csv(os.path.join(out, "histogram.csv"), summary.histogram)

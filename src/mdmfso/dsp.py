@@ -95,7 +95,8 @@ def estimate_phase(y, pilot_times, pilot_symbols, h_hat, window=8):
     At each pilot the rotation y_k conj((Hhat s_p)_k) is averaged over a
     sliding window of `window` pilots, converted to an angle, unwrapped,
     and linearly interpolated over the whole stream. Pilots whose
-    reference magnitude falls below 1e-6 are skipped for that channel.
+    reference magnitude falls below 1e-6 are skipped for that channel; a
+    channel with fewer usable pilots than the window raises ValueError.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -110,8 +111,14 @@ def estimate_phase(y, pilot_times, pilot_symbols, h_hat, window=8):
     times = np.arange(total)
     for k in range(n_r):
         valid = np.abs(ref[k]) >= PHASE_REFERENCE_FLOOR
-        if valid.sum() == 0:
+        n_valid = np.count_nonzero(valid)
+        if n_valid == 0:
             continue
+        if n_valid < window:
+            raise ValueError(
+                f"phase window of {window} pilots exceeds the {n_valid} usable "
+                f"pilots of receive channel {k}"
+            )
         smoothed = np.convolve(rot[k, valid], kernel, mode="same")
         angles = np.unwrap(np.angle(smoothed))
         trajectory[k] = np.interp(times, pilot_times[valid], angles)

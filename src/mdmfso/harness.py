@@ -20,6 +20,7 @@ channels=...), which then builds no coupler and makes no screen.
 
 from dataclasses import dataclass, asdict, fields, replace
 import json
+import math
 import numbers
 import os
 
@@ -48,15 +49,21 @@ _NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Nu
 def _valid(value, kind):
     """Whether a config value has the type kind.
 
-    Bools are not numbers, ints pass as floats, and NaN never passes.
-    Infinity does: osnr_db = inf means a noiseless channel (and -inf is
-    rejected by ExperimentConfig).
+    Bools are not numbers, ints pass as floats unless too large for one,
+    and NaN never passes. Infinity does: osnr_db = inf means a noiseless
+    channel (and -inf is rejected by ExperimentConfig).
     """
     is_bool = isinstance(value, (bool, np.bool_))
     if kind is bool or is_bool:
         return kind is bool and is_bool
     if kind in _NUMBER_KINDS:
-        return isinstance(value, _NUMBER_KINDS[kind]) and value == value
+        if not isinstance(value, _NUMBER_KINDS[kind]) or value != value:
+            return False
+        try:
+            kind(value)
+        except OverflowError:
+            return False
+        return True
     return isinstance(value, kind)
 
 
@@ -125,8 +132,13 @@ class ExperimentConfig:
             raise ValueError("unknown transmit mode label")
         if not set(self.rx_modes) <= set(optics.LP_TO_LG):
             raise ValueError("unknown receive mode label")
-        if -np.inf in (self.osnr_db, *self.osnr_grid):
-            raise ValueError("config osnr_db or osnr_grid is -inf dB: no noise variance")
+        if not 0 < self.baud < np.inf:
+            raise ValueError(f"config baud={self.baud!r} must be positive and finite")
+        for osnr in (self.osnr_db, *self.osnr_grid):
+            try:
+                channel_mod.osnr_to_n0(osnr, self.baud, 1.0)
+            except ValueError as exc:
+                raise ValueError(f"config osnr_db or osnr_grid is {osnr} dB: {exc}") from None
         if self.layout.data_per_frame < 1:
             raise ValueError("config frame_len, ts_len and pilot_period leave no data symbol")
 
@@ -234,13 +246,19 @@ def build_channel(config, realization, coupler=None):
     """True channel matrix for one realization of the configured kind;
     a turbulent one couples realization_screen(config, realization)."""
     if config.channel_kind == "unitary":
-        from scipy.stats import unitary_group
-
         rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 3, realization])
         )
-        u = unitary_group.rvs(config.n_r, random_state=rng)
-        h = u[:, : config.n_t]
+        # a Haar-random unitary: Q of the QR factorization of a complex
+        # Gaussian matrix, column j times the phase of R's diagonal entry
+        # d_j; the draws and operations of scipy's unitary_group.rvs, so
+        # the same bits
+        n = config.n_r
+        z = 1 / math.sqrt(2) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        q, r = np.linalg.qr(z)
+        d = r.diagonal()
+        q *= d / abs(d)
+        h = q[:, : config.n_t]
         return optics.ChannelMatrix(
             h=h, n_r=config.n_r, n_t=config.n_t, calibration=np.ones(config.n_t)
         )
@@ -257,12 +275,10 @@ def theoretical_reference(osnr_grid, baud=channel_mod.DEFAULT_BAUD):
     Under the unitary-submatrix assumption every channel keeps the full
     per-channel SNR, so the curve is independent of (n_t, n_r).
     """
-    from scipy.special import erfc
-
     n0 = np.array([channel_mod.osnr_to_n0(o, baud, 1.0) for o in np.atleast_1d(osnr_grid)])
     with np.errstate(divide="ignore"):
-        ber = 0.5 * erfc(np.sqrt(1.0 / (2.0 * n0)))
-    return ber
+        arg = np.sqrt(1.0 / (2.0 * n0))
+    return np.array([0.5 * math.erfc(a) for a in arg])
 
 
 def build_frames(config):
@@ -541,15 +557,23 @@ def power_statistics(powers):
     """Scintillation index and lognormal fit of captured powers.
 
     The lognormal parameters come from the moments of ln P; the fit
-    quality is the Kolmogorov-Smirnov distance.
+    quality is the two-sided Kolmogorov-Smirnov distance of ln P from
+    N(mu, sigma^2). With the n log powers sorted and F_i the normal CDF
+    at the i-th, it is max(max(i/n - F_i), max(F_i - (i-1)/n)). A fit
+    needs a spread, so equal powers raise ValueError.
     """
-    from scipy.stats import kstest, norm
-
     powers = np.asarray(powers, dtype=float)
     si = scintillation_index(powers)
     logp = np.log(powers)
     mu, sigma = float(np.mean(logp)), float(np.std(logp))
-    ks = float(kstest(logp, norm(loc=mu, scale=sigma).cdf).statistic)
+    if sigma == 0:
+        raise ValueError("captured powers are all equal: no lognormal fit")
+    z = (np.sort(logp) - mu) / sigma
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2)) for v in z])
+    n = cdf.size
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    ks = float(max(d_plus, d_minus))
     return {
         "scintillation_index": si,
         "lognormal_mu": mu,

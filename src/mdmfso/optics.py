@@ -92,8 +92,10 @@ class ModeSpec:
                     f"mode {self.label}: the weight of LG({p},{-l}) is not the "
                     f"conjugate of that of LG({p},{l}); mode fields must be real"
                 )
-        if self.waist <= 0:
-            raise ValueError("waist must be positive")
+        # LGTerms scales r^2 by 2 / waist^2, a finite positive float only
+        # for a waist between about 1e-154 and 1e154
+        if not 1e-150 < self.waist < 1e150:
+            raise ValueError(f"waist={self.waist!r} must lie in (1e-150, 1e150)")
 
 
 @dataclass(frozen=True)

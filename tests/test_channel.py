@@ -7,6 +7,7 @@ from mdmfso.channel import (
     IsiConfig,
     NoiseConfig,
     PhaseNoiseConfig,
+    fir_same,
     osnr_to_n0,
     propagate,
     wiener_phase,
@@ -94,6 +95,11 @@ class TestIsiConfig:
         with pytest.raises(ValueError):
             IsiConfig(taps=(0.7, 0.71414284))
 
+    @pytest.mark.parametrize("taps", [[0.0], [0.0, 0.0, 0.0], [1.0, np.inf, 1.0]])
+    def test_no_finite_energy_rejected(self, taps):
+        with pytest.raises(ValueError, match="finite, nonzero energy"):
+            IsiConfig.normalized(taps)
+
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             IsiConfig(taps=(0.5, 1.0, 0.5))
@@ -154,6 +160,26 @@ class TestPropagate:
         ref = np.convolve(s[0], taps, mode="same")
         np.testing.assert_allclose(y[0], ref, atol=1e-12)
 
+    @pytest.mark.parametrize("n_taps", [1, 3, 5])
+    @pytest.mark.parametrize("complex_taps", [False, True], ids=["real", "complex"])
+    def test_fir_matches_fftconvolve_and_convolve(self, n_taps, complex_taps):
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(n_taps)
+        taps = rng.standard_normal(n_taps) + 1j * complex_taps * rng.standard_normal(n_taps)
+        s = rng.standard_normal((3, 500)) + 1j * rng.standard_normal((3, 500))
+        shaped = fir_same(s, taps)
+        np.testing.assert_allclose(
+            shaped, fftconvolve(s, taps[None, :], mode="same", axes=1), rtol=0, atol=1e-12
+        )
+        for row, out in zip(s, shaped):
+            np.testing.assert_allclose(out, np.convolve(row, taps, mode="same"), rtol=0, atol=1e-12)
+
+    def test_fir_of_stream_shorter_than_taps(self):
+        # zero outside the stream: the middle of the full convolution
+        taps = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(fir_same(np.array([[1.0, 10.0]]), taps), [[3 + 20, 4 + 30]])
+
     def test_shape_errors(self):
         s = np.ones((3, 10), dtype=complex)
         with pytest.raises(ValueError):
@@ -173,12 +199,10 @@ def reference_wiener_phase(n_symbols, n_rx, config):
 
 def reference_propagate(symbols, h, phase, noise, isi=None):
     # propagate as written before it rotated the streams and loaded the
-    # noise one row at a time
+    # noise one row at a time; the FIR memory is fir_same's (checked
+    # against fftconvolve in TestPropagate)
     if isi is not None and len(isi.taps) > 1:
-        from scipy.signal import fftconvolve
-
-        taps = np.asarray(isi.taps, dtype=complex)
-        shaped = fftconvolve(symbols, taps[None, :], mode="same", axes=1)
+        shaped = fir_same(symbols, isi.taps)
     else:
         shaped = symbols
     y = h @ shaped

@@ -127,6 +127,15 @@ class TestEstimatePhase:
         with pytest.raises(ValueError):
             estimate_phase(np.zeros((1, 10)), [0], np.ones((1, 1)), np.eye(1), window=0)
 
+    def test_window_longer_than_pilots(self):
+        # 100 pilots; a longer window has nothing to average over
+        pt, pilots = self._pilot_setup(1, 1000)
+        y = np.zeros((1, 1000), dtype=complex)
+        y[:, pt] = pilots
+        assert estimate_phase(y, pt, pilots, np.eye(1), window=100).trajectory.shape == (1, 1000)
+        with pytest.raises(ValueError, match="window of 101 pilots exceeds the 100 usable"):
+            estimate_phase(y, pt, pilots, np.eye(1), window=101)
+
 
 class TestCancelPhase:
     def test_exact_inverse(self):

@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -24,6 +27,7 @@ from mdmfso.harness import (
     line_rate,
     monte_carlo,
     net_spectral_efficiency,
+    power_statistics,
     realization_screen,
     run_realization,
     scintillation_index,
@@ -66,6 +70,43 @@ CONFIG_VALUES = {
 }
 
 
+# `run` configs on the FAST geometry: each key takes its default, a value
+# of its own kind near or past its edges, or null (values of the wrong
+# kind are test_from_dict_returns_config_or_raises_value_error's). The
+# keys that scale the work (grid, frame count, frame length) stay small,
+# so that every example runs in well under a second
+_MODE_LABELS = st.sampled_from(["LP01", "LP11a", "LP11b", "LP21a", "LP02", "LP99"])
+_RUN_VALUES = {
+    "osnr_db": st.floats() | st.sampled_from([-4000.0, 4000.0, 5.0]) | st.integers(),
+    "osnr_grid": st.lists(st.floats() | st.integers(), max_size=2),
+    "seed": st.integers(-2, 2**64) | st.integers(),
+    "decoder": st.sampled_from(["mmse", "sic", "both", "zf"]),
+    "channel_kind": st.sampled_from(["turbulent", "blank", "unitary", "fog"]),
+    "genie_csi": st.booleans(),
+    "linewidth": st.floats() | st.sampled_from([0.0, 1e9]),
+    "baud": st.floats() | st.sampled_from([1.0, 1e12]),
+    "fried": st.floats() | st.sampled_from([1e-5, 1.0]),
+    "waist": st.floats() | st.sampled_from([1e-6, 1e-2]),
+    "tx_modes": st.lists(_MODE_LABELS, max_size=4),
+    "rx_modes": st.lists(_MODE_LABELS, max_size=5),
+    "frame_len": st.sampled_from([1680, 1700, 2680, 4000, 20000]) | st.integers(-2, 3),
+    "ts_len": st.sampled_from([0, 6, 12, 24, 1680]) | st.integers(-2, 3),
+    "pilot_period": st.integers(-1, 12) | st.just(10**6),
+    "n_frames": st.integers(-1, 2),
+    "pilot_window": st.integers(-1, 50) | st.just(10**6),
+    "use_equalizer": st.booleans(),
+    "equalizer_taps": st.integers(-2, 9),
+    "equalizer_step": st.floats() | st.sampled_from([1e-3, 10.0]),
+    "isi_taps": st.lists(st.floats(-2, 2) | st.integers(-2, 2), max_size=5),
+    "hd_fec": st.floats(),
+}
+RUN_CONFIGS = st.sets(st.sampled_from(sorted(_RUN_VALUES)), max_size=4).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {k: st.just(getattr(ExperimentConfig(), k)) | _RUN_VALUES[k] | st.none() for k in keys}
+    )
+)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = ExperimentConfig()
@@ -101,6 +142,8 @@ class TestConfig:
             {"osnr_grid": (12.0, float("nan"))},
             {"osnr_grid": [12.0]},
             {"tx_modes": (["LP01"],)},
+            {"osnr_db": 10**400},
+            {"isi_taps": (1, 10**400, 1)},
         ],
     )
     def test_invalid(self, kwargs):
@@ -117,6 +160,10 @@ class TestConfig:
             ({"pilot_period": 1}, "leave no data symbol"),
             ({"osnr_db": -np.inf}, "osnr_db or osnr_grid is -inf dB"),
             ({"osnr_grid": (10.0, -np.inf)}, "osnr_db or osnr_grid is -inf dB"),
+            ({"osnr_db": -4000.0}, "is -4000.0 dB: OSNR of -4000.0 dB has no finite noise"),
+            ({"osnr_grid": (10.0, -4000.0)}, "is -4000.0 dB: OSNR of -4000.0 dB has no finite"),
+            ({"baud": 0.0}, "baud=0.0 must be positive and finite"),
+            ({"baud": np.inf}, "baud=inf must be positive and finite"),
         ],
     )
     def test_unusable_link_rejected(self, kwargs, match):
@@ -198,6 +245,20 @@ class TestReferences:
     def test_infinite_osnr(self):
         assert theoretical_reference([np.inf])[0] == 0.0
 
+    def test_matches_scipy_erfc(self):
+        from scipy.special import erfc
+
+        # down to BER 1e-51 at 25 dB; further out scipy's own erfc strays
+        # by more than 1e-14 from the true value (5.7e-14 near 1e-285),
+        # where math.erfc stays within 3e-16
+        grid = np.append(np.linspace(-10.0, 25.0, 71), np.inf)
+        n0 = np.array([channel.osnr_to_n0(o, channel.DEFAULT_BAUD, 1.0) for o in grid])
+        with np.errstate(divide="ignore"):
+            ref = 0.5 * erfc(np.sqrt(1.0 / (2.0 * n0)))
+        ber = theoretical_reference(grid)
+        np.testing.assert_allclose(ber, ref, rtol=1e-14, atol=0)
+        assert ber[-1] == 0.0
+
     def test_line_rate(self):
         assert line_rate() == pytest.approx(689.2e9)
 
@@ -237,6 +298,23 @@ class TestScintillation:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             scintillation_index([1.0, 0.0])
+
+    @pytest.mark.parametrize("n", [30, 120, 200])
+    def test_ks_distance_matches_scipy(self, n):
+        from scipy.stats import kstest, norm
+
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            powers = rng.lognormal(-0.3, 0.7, n)
+            stats = power_statistics(powers)
+            fit = norm(loc=stats["lognormal_mu"], scale=stats["lognormal_sigma"])
+            ref = kstest(np.log(powers), fit.cdf).statistic
+            assert abs(stats["ks_distance"] - ref) <= 1e-15
+
+    def test_equal_powers_have_no_lognormal_fit(self):
+        # zero spread: the KS distance would be NaN, which is not JSON
+        with pytest.raises(ValueError, match="no lognormal fit"):
+            power_statistics(np.ones(30))
 
     def test_stats_minimum_count(self):
         cfg = ExperimentConfig(**FAST)
@@ -299,6 +377,19 @@ class TestPipeline:
         np.testing.assert_allclose(
             h.conj().T @ h, np.eye(cfg.n_t), atol=1e-12
         )
+
+    @pytest.mark.parametrize("modes", [FAST, {}], ids=["4x6", "10x12"])
+    def test_unitary_channel_matches_scipy(self, modes):
+        # the same draws and operations as unitary_group.rvs, so the same bits
+        from scipy.stats import unitary_group
+
+        cfg = ExperimentConfig(**{**modes, "channel_kind": "unitary", "seed": 7})
+        for r in range(5):
+            h = build_channel(cfg, r).h
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, r]))
+            ref = unitary_group.rvs(cfg.n_r, random_state=rng)[:, : cfg.n_t]
+            assert h.shape == ref.shape and np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+            np.testing.assert_allclose(h.conj().T @ h, np.eye(cfg.n_t), rtol=0, atol=1e-12)
 
     def test_equalizer_lowers_sic_ber_under_isi(self):
         # the pilot-driven LMS bank undoes most of a 3-tap intersymbol
@@ -731,8 +822,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "data",
-        [{"pilot_period": 0}, {"frame_len": 1680}, {"pilot_period": 1}, {"osnr_db": -np.inf}],
-        ids=["no_pilot_period", "no_payload", "all_pilots", "minus_inf_osnr"],
+        [{"pilot_period": 0}, {"frame_len": 1680}, {"pilot_period": 1}, {"osnr_db": -np.inf},
+         {"osnr_db": -4000.0}, {"osnr_grid": [10.0, -4000.0]}],
+        ids=["no_pilot_period", "no_payload", "all_pilots", "minus_inf_osnr",
+             "no_finite_noise", "no_finite_noise_in_grid"],
     )
     def test_unusable_link_exits_1(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
@@ -755,6 +848,40 @@ class TestCli:
         if rc:
             assert err.startswith("error: ") and "no finite noise variance" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "monte-carlo"])
+    def test_failed_computation_leaves_no_output(self, tmp_path, capsys, monkeypatch, command):
+        # an error raised while computing, after the config is accepted
+        def fail(*args, **kwargs):
+            raise RuntimeError("computation failed")
+
+        for name in ("run_realization", "sweep_osnr", "monte_carlo"):
+            monkeypatch.setattr(harness, name, fail)
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)] + (["--osnr", "10"] if command == "sweep" else [])
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "error: computation failed\n"
+        assert not out.exists()
+
+    @given(RUN_CONFIGS)
+    @settings(max_examples=40, deadline=None)
+    def test_run_fuzz_exits_0_or_1_with_error(self, data):
+        # the CLI contract on any config: exit 0 with run.csv, or exit 1
+        # with an `error:` line and no --out directory; nothing raises
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w") as fh:
+                json.dump({**FAST, **data}, fh)
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli_main(["run", "--config", cfg, "--out", out])
+            if rc == 0:
+                assert os.path.exists(os.path.join(out, "run.csv"))
+            else:
+                assert rc == 1
+                assert err.getvalue().startswith("error: ")
+                assert not os.path.exists(out)
+
     @pytest.mark.parametrize(
         "argv", [["gen-screens", "0"], ["gen-screens", "-3"], ["stats", "10"],
                  ["monte-carlo", "0"], ["monte-carlo", "-3"]],
@@ -775,13 +902,30 @@ class TestCli:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy and the thread pool are imported only by the functions that
-    # use them, so that importing the package (every CLI run) stays cheap
-    code = (
-        "import sys, mdmfso; "
-        "print(sorted(m for m in sys.modules if m.startswith(("
-        "'scipy.signal', 'scipy.stats', 'scipy.special', 'concurrent.futures'))))"
-    )
+    # the runtime needs only numpy: no scipy on import, nor in the paths
+    # that once used it (the KS distance, the erfc reference, the unitary
+    # channel and the ISI filter); the thread pool is imported only by the
+    # functions that use it, so that importing the package stays cheap
+    code = """
+import sys
+import numpy as np
+import mdmfso
+from mdmfso import channel, harness
+
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+
+print(loaded("scipy", "concurrent.futures"))
+harness.power_statistics(np.exp(np.linspace(-1.0, 1.0, 30)))
+harness.theoretical_reference([10.0, np.inf])
+cfg = harness.ExperimentConfig(
+    channel_kind="unitary", tx_modes=("LP01",), rx_modes=("LP01", "LP11a"), n_frames=1
+)
+harness.build_channel(cfg, 0)
+isi = channel.IsiConfig.normalized([0.3, 1.0, 0.2])
+channel.propagate(np.ones((2, 50), complex), np.eye(2), None, None, isi=isi)
+print(loaded("scipy"))
+"""
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=package_env(),
@@ -789,7 +933,7 @@ def test_import_leaves_scipy_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_bench_trace_names_resolve():

@@ -88,6 +88,12 @@ class TestModeSpec:
         with pytest.raises(ValueError):
             ModeSpec.lp("LP01", waist=0.0)
 
+    @pytest.mark.parametrize("waist", [1e-160, 1e181, np.inf, np.nan, 10**400])
+    def test_waist_without_finite_scale_rejected(self, waist):
+        # 2 / waist^2 is not a finite positive float
+        with pytest.raises(ValueError, match="must lie in"):
+            ModeSpec.lp("LP01", waist=waist)
+
 
 class TestModeFields:
     def test_lp01_gaussian(self):
