@@ -29,7 +29,6 @@ from .channel import IsiConfig, NoiseConfig, PhaseNoiseConfig, osnr_to_n0, propa
 from .dsp import (
     ChannelEstimate,
     DecodeResult,
-    PhaseEstimate,
     cancel_phase,
     equalize,
     estimate_channel,
@@ -67,7 +66,6 @@ __all__ = [
     "ModeSpec",
     "MonteCarloSummary",
     "NoiseConfig",
-    "PhaseEstimate",
     "PhaseNoiseConfig",
     "PhaseScreen",
     "RunReport",

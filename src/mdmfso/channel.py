@@ -8,14 +8,14 @@ with independent Wiener phase walks phi_k per receive channel (transmit
 phases are conserved and set to the identity reference), g an optional
 per-path FIR memory, and circular complex Gaussian noise calibrated from
 the measured OSNR in a 12.5 GHz reference bandwidth.
+
+A leaf module: it imports no other mdmfso module, and propagate takes
+the transmit streams and the channel as plain arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .framing import Frame
-from .optics import ChannelMatrix
 
 REFERENCE_BANDWIDTH = 12.5e9
 DEFAULT_BAUD = 34.46e9
@@ -28,8 +28,8 @@ class PhaseNoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.linewidth < 0:
-            raise ValueError("linewidth must be >= 0")
+        if not 0 <= self.linewidth < np.inf:
+            raise ValueError(f"linewidth={self.linewidth!r} must be >= 0 and finite")
         if self.baud <= 0:
             raise ValueError("baud must be positive")
 
@@ -65,7 +65,8 @@ class IsiConfig:
     @classmethod
     def normalized(cls, taps):
         taps = np.asarray(taps, dtype=complex)
-        norm = np.sqrt(np.sum(np.abs(taps) ** 2))
+        with np.errstate(over="ignore"):  # an infinite norm is rejected below
+            norm = np.sqrt(np.sum(np.abs(taps) ** 2))
         if not 0 < norm < np.inf:
             raise ValueError("taps must have a finite, nonzero energy")
         return cls(taps=tuple(taps / norm))
@@ -125,20 +126,22 @@ def fir_same(symbols, taps):
     return out
 
 
-def propagate(frame, h, phase, noise, isi=None):
-    """Apply the MIMO system model; returns the (N_r, T) received streams."""
-    symbols = frame.symbols if isinstance(frame, Frame) else np.asarray(frame)
-    h_mat = h.h if isinstance(h, ChannelMatrix) else np.asarray(h)
-    n_r, n_t = h_mat.shape
+def propagate(symbols, h, phase, noise, isi=None):
+    """Apply the MIMO system model to the (n_t, T) transmit streams
+    through the (n_r, n_t) channel h; returns the (n_r, T) received
+    streams. A single ISI tap other than 1 scales the streams by it."""
+    symbols = np.asarray(symbols)
+    h = np.asarray(h)
+    n_r, n_t = h.shape
     if symbols.shape[0] != n_t:
         raise ValueError(f"channel count {symbols.shape[0]} != n_t {n_t}")
     if phase is not None and phase.shape != (n_r, symbols.shape[1]):
         raise ValueError("phase trajectories must be (n_r, n_symbols)")
 
-    shaped = symbols if isi is None or len(isi.taps) == 1 else fir_same(symbols, isi.taps)
+    shaped = symbols if isi is None or isi.taps == (1,) else fir_same(symbols, isi.taps)
 
     # complex even for a real channel and real symbols: written in place below
-    y = (h_mat @ shaped).astype(complex, copy=False)
+    y = (h @ shaped).astype(complex, copy=False)
     if phase is not None:
         # exp(1j * phase) as cos + j sin, bit for bit, one row at a time
         # into one buffer; the + 0.0 gives sin(-0.0) the +0.0 imaginary

@@ -44,11 +44,11 @@ def _add_common(parser):
 def cmd_gen_screens(args):
     cfg = _load_config(args)
     ensemble = screens.iter_screens(cfg.screen_config(), args.count)
-    out = harness.ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     for i, (member, screen) in enumerate(ensemble):
-        path = os.path.join(out, f"screen_{i:04d}.phs")
+        path = os.path.join(args.out, f"screen_{i:04d}.phs")
         screens.write_screen(path, screen, member)
-    print(f"wrote {args.count} screens to {out}")
+    print(f"wrote {args.count} screens to {args.out}")
     return 0
 
 
@@ -74,13 +74,13 @@ def cmd_stats(args):
     )
     stats = harness.power_statistics(powers)
 
-    out = harness.ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     d_ref = screens.kolmogorov_structure_function(rs, cfg.fried)
-    lines = ["r_m,d_phi,d_phi_kolmogorov,ratio"]
-    for r, de, dr in zip(rs, d_emp, d_ref):
-        lines.append(f"{r:.10e},{de:.10e},{dr:.10e},{de / dr:.10e}")
-    with open(os.path.join(out, "structure_function.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    harness.write_csv(
+        os.path.join(args.out, "structure_function.csv"),
+        ("r_m", "d_phi", "d_phi_kolmogorov", "ratio"),
+        ((r, de, dr, de / dr) for r, de, dr in zip(rs, d_emp, d_ref)),
+    )
     payload = {
         "screens": args.count,
         "fried": cfg.fried,
@@ -89,9 +89,7 @@ def cmd_stats(args):
         "lognormal_sigma": stats["lognormal_sigma"],
         "ks_distance": stats["ks_distance"],
     }
-    with open(os.path.join(out, "scintillation.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    harness.write_json(os.path.join(args.out, "scintillation.json"), payload)
     print(
         f"sigma_I^2 = {stats['scintillation_index']:.4g}, "
         f"KS = {stats['ks_distance']:.3f}"
@@ -102,8 +100,10 @@ def cmd_stats(args):
 def cmd_run(args):
     cfg = _load_config(args)
     reports = harness.run_realization(cfg, realization=args.realization)
-    out = harness.ensure_out_dir(args.out)
-    harness.write_run_csv(os.path.join(out, "run.csv"), reports)
+    os.makedirs(args.out, exist_ok=True)
+    harness.write_run_csv(
+        os.path.join(args.out, "run.csv"), {name: [rep] for name, rep in reports.items()}
+    )
     for name in sorted(reports):
         rep = reports[name]
         tag = "<" if rep.error_free else "="
@@ -119,8 +119,8 @@ def cmd_sweep(args):
     if args.osnr:
         cfg = replace(cfg, osnr_grid=tuple(args.osnr))
     rows = harness.sweep_osnr(cfg)
-    out = harness.ensure_out_dir(args.out)
-    harness.write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
+    os.makedirs(args.out, exist_ok=True)
+    harness.write_sweep_csv(os.path.join(args.out, "sweep.csv"), rows)
     for row in rows:
         print(
             f"OSNR {row['osnr_db']:5.1f} dB {row['decoder']:>4}: "
@@ -134,10 +134,10 @@ def cmd_monte_carlo(args):
     if args.count is not None:
         cfg = replace(cfg, realizations=args.count)
     summary = harness.monte_carlo(cfg)
-    out = harness.ensure_out_dir(args.out)
-    harness.write_run_csv(os.path.join(out, "realizations.csv"), summary.reports)
-    harness.write_summary(os.path.join(out, "summary.json"), summary)
-    harness.write_histogram_csv(os.path.join(out, "histogram.csv"), summary.histogram)
+    os.makedirs(args.out, exist_ok=True)
+    harness.write_run_csv(os.path.join(args.out, "realizations.csv"), summary.reports)
+    harness.write_summary(os.path.join(args.out, "summary.json"), summary)
+    harness.write_histogram_csv(os.path.join(args.out, "histogram.csv"), summary.histogram)
     for name in sorted(summary.averages):
         print(
             f"{name}: ensemble BER {summary.averages[name]:.4e}, "

@@ -4,13 +4,14 @@ Training-based least-squares channel estimation, pilot-aided phase
 tracking and cancellation, pilot-driven LMS equalization, and linear
 MMSE or successive-interference-cancellation (SIC) decoding with greedy
 max-SINR ordering.
+
+A leaf module: it imports no other mdmfso module, and every channel
+argument h is a plain (n_r, n_t) array, such as ChannelEstimate.h_hat.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .framing import qpsk_demap
 
 MMSE_REGULARIZATION = 1e-12
 PHASE_REFERENCE_FLOOR = 1e-6
@@ -29,22 +30,6 @@ class ChannelEstimate:
         if not np.all(np.isfinite(self.h_hat)):
             raise ValueError("channel estimate contains non-finite entries")
 
-    @property
-    def n_r(self):
-        return self.h_hat.shape[0]
-
-    @property
-    def n_t(self):
-        return self.h_hat.shape[1]
-
-
-@dataclass(frozen=True)
-class PhaseEstimate:
-    """Per-receive-channel unwrapped phase trajectory, (n_r, T)."""
-
-    trajectory: np.ndarray
-    window: int
-
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -60,9 +45,6 @@ class DecodeResult:
     order: tuple
     sinr: np.ndarray
     regularized: bool = False
-
-    def bits(self):
-        return qpsk_demap(self.hard)
 
 
 def estimate_channel(y_ts, s_ts):
@@ -89,8 +71,9 @@ def estimate_channel(y_ts, s_ts):
     return ChannelEstimate(h_hat=h_hat, residual=residual)
 
 
-def estimate_phase(y, pilot_times, pilot_symbols, h_hat, window=8):
-    """Pilot-aided phase trajectories relative to the TS reference in h_hat.
+def estimate_phase(y, pilot_times, pilot_symbols, h, window=8):
+    """Pilot-aided (n_r, T) phase trajectories relative to the TS
+    reference in the channel estimate h.
 
     At each pilot the rotation y_k conj((Hhat s_p)_k) is averaged over a
     sliding window of `window` pilots, converted to an angle, unwrapped,
@@ -102,8 +85,7 @@ def estimate_phase(y, pilot_times, pilot_symbols, h_hat, window=8):
         raise ValueError("window must be >= 1")
     y = np.asarray(y)
     pilot_times = np.asarray(pilot_times)
-    h = h_hat.h_hat if isinstance(h_hat, ChannelEstimate) else np.asarray(h_hat)
-    ref = h @ np.asarray(pilot_symbols)  # (n_r, n_pilots)
+    ref = np.asarray(h) @ np.asarray(pilot_symbols)  # (n_r, n_pilots)
     rot = y[:, pilot_times] * np.conj(ref)
     n_r, total = y.shape
     kernel = np.ones(window) / window
@@ -122,17 +104,12 @@ def estimate_phase(y, pilot_times, pilot_symbols, h_hat, window=8):
         smoothed = np.convolve(rot[k, valid], kernel, mode="same")
         angles = np.unwrap(np.angle(smoothed))
         trajectory[k] = np.interp(times, pilot_times[valid], angles)
-    return PhaseEstimate(trajectory=trajectory, window=window)
+    return trajectory
 
 
-def cancel_phase(y_r, phase_estimate):
-    """Rotate the received streams by the conjugate phase trajectory (of
-    the same shape as y_r)."""
-    phi = (
-        phase_estimate.trajectory
-        if isinstance(phase_estimate, PhaseEstimate)
-        else np.asarray(phase_estimate)
-    )
+def cancel_phase(y_r, phi):
+    """Rotate the received streams by the conjugate of the phase
+    trajectory phi (of the same shape as y_r)."""
     # exp(-1j * phi) as cos - j sin, bit for bit. Complex products are
     # not bitwise commutative; the phasor comes first, the order in
     # which numpy evaluated the former y_r * np.exp(-1j * phi) on
@@ -161,7 +138,7 @@ def _shift_stack(y, taps):
     return out
 
 
-def equalize(y, h_hat, pilot_times, pilot_symbols, taps=7, step=1e-3):
+def equalize(y, h, pilot_times, pilot_symbols, taps=7, step=1e-3):
     """Pilot-driven LMS FIR bank restoring y ~ Hhat s.
 
     The n_r x n_r symbol-spaced bank starts as a center-tap identity and
@@ -174,8 +151,7 @@ def equalize(y, h_hat, pilot_times, pilot_symbols, taps=7, step=1e-3):
     if step <= 0:
         raise ValueError("step must be positive")
     y = np.asarray(y)
-    h = h_hat.h_hat if isinstance(h_hat, ChannelEstimate) else np.asarray(h_hat)
-    ref = h @ np.asarray(pilot_symbols)
+    ref = np.asarray(h) @ np.asarray(pilot_symbols)
     n_r = y.shape[0]
     center = taps // 2
     weights = np.zeros((n_r, n_r, taps), dtype=complex)
@@ -233,10 +209,10 @@ def hard_decision(soft):
     return _QPSK_CORNERS[negative_re + 2 * negative_im.view(np.uint8)]
 
 
-def mmse_decode(y, h_hat, n0):
+def mmse_decode(y, h, n0):
     """Linear MMSE decode: shat = [(H H^H + n0 I)^-1 H]^H y."""
     y = np.asarray(y)
-    h = h_hat.h_hat if isinstance(h_hat, ChannelEstimate) else np.asarray(h_hat)
+    h = np.asarray(h)
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
     w, regularized = _mmse_weights(h, n0)
@@ -286,17 +262,16 @@ def _sic_stages(h, n0, order=None):
     return tuple(picked), first, w, sinr, regularized
 
 
-def sic_order(h_hat, n0):
+def sic_order(h, n0):
     """Greedy V-BLAST ordering by maximal post-detection MMSE SINR.
 
     At each stage the highest-SINR remaining channel (ties to the lowest
     index) is decoded and its column removed.
     """
-    h = h_hat.h_hat if isinstance(h_hat, ChannelEstimate) else np.asarray(h_hat)
-    return _sic_stages(h, n0)[0]
+    return _sic_stages(np.asarray(h), n0)[0]
 
 
-def sic_decode(y, h_hat, n0, order=None):
+def sic_decode(y, h, n0, order=None):
     """Successive interference cancellation along the given decode order
     (greedy max-SINR when order is None).
 
@@ -311,7 +286,7 @@ def sic_decode(y, h_hat, n0, order=None):
     equals the MMSE soft output bit for bit.
     """
     y = np.asarray(y)
-    h = h_hat.h_hat if isinstance(h_hat, ChannelEstimate) else np.asarray(h_hat)
+    h = np.asarray(h)
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
     n_t = h.shape[1]

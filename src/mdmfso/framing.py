@@ -8,9 +8,14 @@ the X/Y tributaries carry independent data; the whole stream is
 cyclically shifted by the delay.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+# root seeds of the training, pilot and data streams (see _channel_seeds)
+TS_SEED = 101
+PILOT_SEED = 202
+DATA_SEED = 303
 
 QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
 
@@ -86,9 +91,6 @@ class FrameLayout:
     frame_len: int = 20000
     ts_len: int = 1680
     pilot_period: int = 10
-    ts_seed: int = 101
-    pilot_seed: int = 202
-    data_seed: int = 303
 
     def __post_init__(self):
         if self.pilot_period < 1:
@@ -124,16 +126,14 @@ class Frame:
     symbols: (n_channels, T) complex, unit average energy per channel.
     ts_mask / pilot_mask / data_mask: (n_channels, T) booleans partitioning
     each stream. data_bits: (n_channels, T, 2) with the Gray bit pair at
-    data positions (zeros elsewhere). delays: per-channel cyclic shift.
+    data positions (zeros elsewhere).
     """
 
-    layout: FrameLayout
     symbols: np.ndarray
     ts_mask: np.ndarray
     pilot_mask: np.ndarray
     data_mask: np.ndarray
     data_bits: np.ndarray
-    delays: tuple = field(default=())
 
     @property
     def n_channels(self):
@@ -158,17 +158,13 @@ class Frame:
         return np.flatnonzero(known.all(axis=0))
 
 
-def _channel_seeds(layout, channel):
+def _channel_seeds(channel):
     pol = channel % 2
     return {
         # X/Y tributaries of every mode carry the per-polarization TS
-        "ts": int(np.random.SeedSequence([layout.ts_seed, pol]).generate_state(1)[0]),
-        "pilot": int(
-            np.random.SeedSequence([layout.pilot_seed, channel]).generate_state(1)[0]
-        ),
-        "data": int(
-            np.random.SeedSequence([layout.data_seed, channel]).generate_state(1)[0]
-        ),
+        "ts": int(np.random.SeedSequence([TS_SEED, pol]).generate_state(1)[0]),
+        "pilot": int(np.random.SeedSequence([PILOT_SEED, channel]).generate_state(1)[0]),
+        "data": int(np.random.SeedSequence([DATA_SEED, channel]).generate_state(1)[0]),
     }
 
 
@@ -182,7 +178,7 @@ def assemble_frames(layout, n_channels, n_frames, delays):
         raise ValueError("need one delay per channel")
     if any(d < 0 or d >= layout.frame_len for d in delays):
         raise ValueError("delays must lie in [0, frame_len)")
-    seeds = [_channel_seeds(layout, ch) for ch in range(n_channels)]
+    seeds = [_channel_seeds(ch) for ch in range(n_channels)]
     # two channels sharing both a delay and a TS seed carry identical known
     # sequences, which breaks the channel estimator's rank guarantee
     keys = [(delays[ch], seeds[ch]["ts"]) for ch in range(n_channels)]
@@ -231,13 +227,11 @@ def assemble_frames(layout, n_channels, n_frames, delays):
     for array in (symbols, ts_mask, pilot_mask, data_mask, data_bits):
         array.setflags(write=False)
     return Frame(
-        layout=layout,
         symbols=symbols,
         ts_mask=ts_mask,
         pilot_mask=pilot_mask,
         data_mask=data_mask,
         data_bits=data_bits,
-        delays=tuple(delays),
     )
 
 

@@ -4,8 +4,13 @@ Ties the pipeline together (screens -> modal coupling -> framing ->
 channel -> receive DSP), computes link metrics (BER, EVM, outage,
 scintillation index, net spectral efficiency), and emits deterministic
 CSV / JSON reports for single runs, OSNR sweeps and Monte-Carlo
-ensembles. Each entry-point call builds what its realizations share
-once: monte_carlo and sweep_osnr build one optics.ModalCoupler, through
+ensembles. It is the one module that unwraps ChannelMatrix.h,
+Frame.symbols and ChannelEstimate.h_hat into the plain arrays that
+channel and dsp take, and the one that writes report files, through
+write_csv and write_json.
+
+Each entry-point call builds what its realizations share once:
+monte_carlo and sweep_osnr build one optics.ModalCoupler, through
 which every coupling goes, and one set of transmit frames; sweep_osnr
 also builds its one channel matrix. run_realization, called alone,
 builds its own. Their realizations and OSNR points then run on the
@@ -22,7 +27,6 @@ from dataclasses import dataclass, asdict, fields, replace
 import json
 import math
 import numbers
-import os
 
 import numpy as np
 
@@ -128,6 +132,8 @@ class ExperimentConfig:
                 f"config aperture_diameter={self.aperture_diameter!r} exceeds "
                 f"the raster's physical_length={self.physical_length!r}"
             )
+        if not self.tx_modes or not self.rx_modes:
+            raise ValueError("config tx_modes and rx_modes must each name a mode")
         if not set(self.tx_modes) <= set(optics.LP_TO_LG):
             raise ValueError("unknown transmit mode label")
         if not set(self.rx_modes) <= set(optics.LP_TO_LG):
@@ -141,6 +147,21 @@ class ExperimentConfig:
                 raise ValueError(f"config osnr_db or osnr_grid is {osnr} dB: {exc}") from None
         if self.layout.data_per_frame < 1:
             raise ValueError("config frame_len, ts_len and pilot_period leave no data symbol")
+        try:
+            channel_mod.PhaseNoiseConfig(linewidth=self.linewidth)
+            channel_mod.IsiConfig.normalized(self.isi_taps)
+        except ValueError as exc:
+            raise ValueError(f"config linewidth or isi_taps: {exc}") from None
+        if self.pilot_window < 1:
+            raise ValueError(f"config pilot_window={self.pilot_window!r} must be >= 1")
+        if self.equalizer_taps < 1 or self.equalizer_taps % 2 != 1:
+            raise ValueError(f"config equalizer_taps={self.equalizer_taps!r} must be odd and >= 1")
+        if not 0 < self.equalizer_step < np.inf:
+            raise ValueError(
+                f"config equalizer_step={self.equalizer_step!r} must be positive and finite"
+            )
+        if not 0 < self.hd_fec < 1:
+            raise ValueError(f"config hd_fec={self.hd_fec!r} must lie in (0, 1)")
 
     @property
     def n_t(self):
@@ -309,7 +330,8 @@ def _frame_windows(frame, layout, n_frames):
 
 
 def decode_stream(y, frame, config, n0, h_true=None):
-    """Frame-by-frame receive DSP over a full stream.
+    """Frame-by-frame receive DSP over a full stream; h_true is the true
+    channel array, which genie-CSI mode decodes with.
 
     Returns per decoder a dict with per-channel bit errors / bit counts,
     per-channel squared soft-error / symbol counts, the frame-0 SIC
@@ -334,22 +356,22 @@ def decode_stream(y, frame, config, n0, h_true=None):
         if config.genie_csi and h_true is not None:
             # theoretical-reference mode: known channel, no carrier
             # imperfection, so the tracker would only add self-noise
-            est = dsp.ChannelEstimate(h_hat=h_true.h.copy(), residual=0.0)
+            h_hat = h_true
             y_c = y_f
         else:
-            est = dsp.estimate_channel(
+            h_hat = dsp.estimate_channel(
                 y_f[:, ts_local], frame.symbols[:, sl][:, ts_local]
-            )
+            ).h_hat
             phase = dsp.estimate_phase(
-                y_f, pilot_local, pilots, est, window=config.pilot_window
+                y_f, pilot_local, pilots, h_hat, window=config.pilot_window
             )
             y_c = dsp.cancel_phase(y_f, phase)
         if cond is None:
-            cond = float(np.linalg.cond(est.h_hat))
+            cond = float(np.linalg.cond(h_hat))
         if config.use_equalizer:
             y_c = dsp.equalize(
                 y_c,
-                est,
+                h_hat,
                 pilot_local,
                 pilots,
                 taps=config.equalizer_taps,
@@ -362,9 +384,9 @@ def decode_stream(y, frame, config, n0, h_true=None):
         ref_bits = frame.data_bits[:, sl]
         for name in config.decoders:
             if name == "mmse":
-                res = dsp.mmse_decode(y_c, est, n0)
+                res = dsp.mmse_decode(y_c, h_hat, n0)
             else:
-                res = dsp.sic_decode(y_c, est, n0)
+                res = dsp.sic_decode(y_c, h_hat, n0)
             if acc[name]["order"] is None:
                 acc[name]["order"] = res.order
             # hard_decision sends a component >= 0 to the bit 0 and any
@@ -408,10 +430,10 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
     )
     noise = channel_mod.NoiseConfig(n0=n0, seed=_seed(config.seed, 2, realization))
     isi = channel_mod.IsiConfig.normalized(config.isi_taps)
-    y = channel_mod.propagate(frame, h, phase, noise, isi=isi)
+    y = channel_mod.propagate(frame.symbols, h.h, phase, noise, isi=isi)
     del phase  # the receiver tracks its own; free the true trajectory
 
-    acc, cond = decode_stream(y, frame, config, n0, h_true=h)
+    acc, cond = decode_stream(y, frame, config, n0, h_true=h.h)
     reports = {}
     for name, a in acc.items():
         ber = tuple(a["bit_err"] / a["bits"])
@@ -624,6 +646,8 @@ def line_rate(n_channels=10, baud=channel_mod.DEFAULT_BAUD):
 
 
 # --- report emission ------------------------------------------------------
+# Every report file is written here: CSV cells through _fmt, JSON sorted
+# with a two-space indent, each file ending in a newline.
 
 def _fmt(x):
     if isinstance(x, bool):
@@ -633,40 +657,40 @@ def _fmt(x):
     return str(x)
 
 
-def write_run_csv(path, reports_by_decoder):
-    """Per-run CSV: one row per (realization, decoder, channel)."""
-    lines = ["realization,decoder,channel,ber,evm_pct,sic_rank,outage"]
-    for name in sorted(reports_by_decoder):
-        reps = reports_by_decoder[name]
-        if isinstance(reps, RunReport):
-            reps = [reps]
-        for rep in sorted(reps, key=lambda r: r.realization):
-            rank = {ch: i for i, ch in enumerate(rep.sic_order)}
-            for ch in range(len(rep.ber)):
-                lines.append(
-                    ",".join(
-                        [
-                            str(rep.realization),
-                            rep.decoder,
-                            str(ch),
-                            _fmt(float(rep.ber[ch])),
-                            _fmt(float(rep.evm_pct[ch])),
-                            str(rank[ch]),
-                            _fmt(rep.outage),
-                        ]
-                    )
-                )
+def write_csv(path, header, rows):
+    """A CSV file of the column names header and one line per row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_run_csv(path, reports):
+    """Per-run CSV of decoder -> list of RunReport: one row per
+    (realization, decoder, channel), decoders sorted, reports in list
+    order."""
+    rows = []
+    for name in sorted(reports):
+        for rep in reports[name]:
+            rank = {ch: i for i, ch in enumerate(rep.sic_order)}
+            for ch in range(len(rep.ber)):
+                rows.append(
+                    (rep.realization, rep.decoder, ch, float(rep.ber[ch]),
+                     float(rep.evm_pct[ch]), rank[ch], rep.outage)
+                )
+    write_csv(path, ("realization", "decoder", "channel", "ber", "evm_pct", "sic_rank",
+                     "outage"), rows)
 
 
 def write_histogram_csv(path, histogram):
-    lines = ["decoder,bin_low,bin_high,count"]
-    for name in sorted(histogram):
-        for lo, hi, n in histogram[name]:
-            lines.append(f"{name},{_fmt(lo)},{_fmt(hi)},{n}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [(name, *bin_) for name in sorted(histogram) for bin_ in histogram[name]]
+    write_csv(path, ("decoder", "bin_low", "bin_high", "count"), rows)
 
 
 def write_summary(path, summary):
@@ -684,32 +708,10 @@ def write_summary(path, summary):
             "error_free_realizations": sum(r.error_free for r in reps),
             "ber_is_upper_bound": any(r.error_free for r in reps),
         }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def write_sweep_csv(path, rows):
-    lines = ["osnr_db,decoder,ber_avg,ber_min,ber_max,ber_bound,error_free,outage"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row["osnr_db"]),
-                    row["decoder"],
-                    _fmt(row["ber_avg"]),
-                    _fmt(row["ber_min"]),
-                    _fmt(row["ber_max"]),
-                    _fmt(row["ber_bound"]),
-                    _fmt(row["error_free"]),
-                    _fmt(row["outage"]),
-                ]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def ensure_out_dir(out):
-    os.makedirs(out, exist_ok=True)
-    return out
+    columns = ("osnr_db", "decoder", "ber_avg", "ber_min", "ber_max", "ber_bound",
+               "error_free", "outage")
+    write_csv(path, columns, ([row[k] for k in columns] for row in rows))

@@ -108,7 +108,7 @@ class TestIsiConfig:
 class TestPropagate:
     def test_noiseless_identity(self):
         frame = assemble_frames(FrameLayout(), 2, 1, mode_delays(FrameLayout(), 1))
-        y = propagate(frame, np.eye(2, dtype=complex), None, None)
+        y = propagate(frame.symbols, np.eye(2, dtype=complex), None, None)
         np.testing.assert_array_equal(y, frame.symbols)
 
     def test_matrix_applied(self):
@@ -154,11 +154,12 @@ class TestPropagate:
     def test_isi_matches_convolve(self):
         rng = np.random.default_rng(1)
         s = rng.standard_normal((1, 64)) + 1j * rng.standard_normal((1, 64))
-        isi = IsiConfig.normalized([0.3, 1.0, 0.2])
-        y = propagate(s, np.eye(1), None, None, isi=isi)
-        taps = np.asarray(isi.taps)
-        ref = np.convolve(s[0], taps, mode="same")
-        np.testing.assert_allclose(y[0], ref, atol=1e-12)
+        # a single tap other than 1 scales the stream; [1] leaves it as it is
+        for taps in ([0.3, 1.0, 0.2], [-1], [1j], [1]):
+            isi = IsiConfig.normalized(taps)
+            y = propagate(s, np.eye(1), None, None, isi=isi)
+            ref = np.convolve(s[0], np.asarray(isi.taps), mode="same")
+            np.testing.assert_allclose(y[0], ref, atol=1e-12, err_msg=str(taps))
 
     @pytest.mark.parametrize("n_taps", [1, 3, 5])
     @pytest.mark.parametrize("complex_taps", [False, True], ids=["real", "complex"])

@@ -19,7 +19,7 @@ from mdmfso.dsp import (
     sic_decode,
     sic_order,
 )
-from mdmfso.framing import QPSK, balanced_qpsk
+from mdmfso.framing import QPSK, balanced_qpsk, qpsk_demap
 
 
 def random_channel(rng, n_r, n_t):
@@ -38,7 +38,7 @@ class TestEstimateChannel:
         est = estimate_channel(h @ s, s)
         assert np.max(np.abs(est.h_hat - h)) <= 1e-9
         assert est.residual <= 1e-18
-        assert (est.n_r, est.n_t) == (4, 3)
+        assert est.h_hat.shape == (4, 3)
 
     def test_error_variance(self):
         # LS entrywise error variance ~ n0 / T_ts for near-orthogonal TS
@@ -87,16 +87,16 @@ class TestEstimatePhase:
         pt, pilots = self._pilot_setup(2, 2000)
         y = np.zeros((2, 2000), dtype=complex)
         y[:, pt] = pilots
-        est = estimate_phase(y, pt, pilots, h, window=8)
-        np.testing.assert_allclose(est.trajectory, 0.0, atol=1e-12)
+        phi = estimate_phase(y, pt, pilots, h, window=8)
+        np.testing.assert_allclose(phi, 0.0, atol=1e-12)
 
     def test_constant_offset(self):
         h = np.eye(2, dtype=complex)
         pt, pilots = self._pilot_setup(2, 2000)
         y = np.zeros((2, 2000), dtype=complex)
         y[:, pt] = np.exp(0.3j) * pilots
-        est = estimate_phase(y, pt, pilots, h, window=8)
-        np.testing.assert_allclose(est.trajectory, 0.3, atol=1e-9)
+        phi = estimate_phase(y, pt, pilots, h, window=8)
+        np.testing.assert_allclose(phi, 0.3, atol=1e-9)
 
     def test_tracking_mse(self):
         # 100 kHz linewidth, Es/N0 = 15 dB, window 8: MSE < 5e-3 rad^2
@@ -111,7 +111,7 @@ class TestEstimatePhase:
         phi = wiener_phase(total, n_r, PhaseNoiseConfig(linewidth=1e5, seed=8))
         y = propagate(s, np.eye(n_r), phi, NoiseConfig(n0=10 ** -1.5, seed=9))
         est = estimate_phase(y, pt, pilots, np.eye(n_r), window=8)
-        mse = np.mean((est.trajectory - phi) ** 2)
+        mse = np.mean((est - phi) ** 2)
         assert mse < 5e-3
 
     def test_low_reference_skipped(self):
@@ -119,9 +119,9 @@ class TestEstimatePhase:
         h = np.diag([1.0, 0.0]).astype(complex)
         pt, pilots = self._pilot_setup(2, 1000)
         y = h @ np.zeros((2, 1000), dtype=complex)
-        est = estimate_phase(y, pt, pilots, h, window=4)
-        assert np.all(np.isfinite(est.trajectory))
-        np.testing.assert_array_equal(est.trajectory[1], 0.0)
+        phi = estimate_phase(y, pt, pilots, h, window=4)
+        assert np.all(np.isfinite(phi))
+        np.testing.assert_array_equal(phi[1], 0.0)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -132,7 +132,7 @@ class TestEstimatePhase:
         pt, pilots = self._pilot_setup(1, 1000)
         y = np.zeros((1, 1000), dtype=complex)
         y[:, pt] = pilots
-        assert estimate_phase(y, pt, pilots, np.eye(1), window=100).trajectory.shape == (1, 1000)
+        assert estimate_phase(y, pt, pilots, np.eye(1), window=100).shape == (1, 1000)
         with pytest.raises(ValueError, match="window of 101 pilots exceeds the 100 usable"):
             estimate_phase(y, pt, pilots, np.eye(1), window=101)
 
@@ -401,7 +401,7 @@ class TestSicDecode:
     def test_bits_roundtrip(self):
         s = QPSK[np.array([[0, 1, 2, 3]])]
         res = mmse_decode(s, np.eye(1, dtype=complex), 0.0)
-        bits = res.bits()
+        bits = qpsk_demap(res.hard)
         assert bits.shape == (1, 4, 2)
         np.testing.assert_array_equal(
             bits[0], np.array([[0, 0], [0, 1], [1, 1], [1, 0]])

@@ -70,11 +70,12 @@ CONFIG_VALUES = {
 }
 
 
-# `run` configs on the FAST geometry: each key takes its default, a value
-# of its own kind near or past its edges, or null (values of the wrong
-# kind are test_from_dict_returns_config_or_raises_value_error's). The
-# keys that scale the work (grid, frame count, frame length) stay small,
-# so that every example runs in well under a second
+# CLI configs on the FAST geometry: each key takes its FAST default, a
+# value of its own kind near or past its edges, or null (values of the
+# wrong kind are test_from_dict_returns_config_or_raises_value_error's).
+# The keys that scale the work (grid, frame count, frame length,
+# realizations) stay small, so that every example runs in well under a
+# second
 _MODE_LABELS = st.sampled_from(["LP01", "LP11a", "LP11b", "LP21a", "LP02", "LP99"])
 _RUN_VALUES = {
     "osnr_db": st.floats() | st.sampled_from([-4000.0, 4000.0, 5.0]) | st.integers(),
@@ -99,10 +100,12 @@ _RUN_VALUES = {
     "equalizer_step": st.floats() | st.sampled_from([1e-3, 10.0]),
     "isi_taps": st.lists(st.floats(-2, 2) | st.integers(-2, 2), max_size=5),
     "hd_fec": st.floats(),
+    "realizations": st.integers(1, 2),
 }
 RUN_CONFIGS = st.sets(st.sampled_from(sorted(_RUN_VALUES)), max_size=4).flatmap(
     lambda keys: st.fixed_dictionaries(
-        {k: st.just(getattr(ExperimentConfig(), k)) | _RUN_VALUES[k] | st.none() for k in keys}
+        {k: st.just(getattr(ExperimentConfig(**FAST), k)) | _RUN_VALUES[k] | st.none()
+         for k in keys}
     )
 )
 
@@ -144,6 +147,21 @@ class TestConfig:
             {"tx_modes": (["LP01"],)},
             {"osnr_db": 10**400},
             {"isi_taps": (1, 10**400, 1)},
+            {"linewidth": -1.0},
+            {"linewidth": np.inf},
+            {"isi_taps": (0.7, 0.7)},
+            {"isi_taps": (0.0, 0.0, 0.0)},
+            {"isi_taps": ()},
+            {"pilot_window": 0},
+            {"equalizer_taps": 6},
+            {"equalizer_taps": -1},
+            {"equalizer_step": 0.0},
+            {"equalizer_step": -1e-3},
+            {"hd_fec": -1.0},
+            {"hd_fec": 0.0},
+            {"hd_fec": 1.0},
+            {"tx_modes": ()},
+            {"rx_modes": ()},
         ],
     )
     def test_invalid(self, kwargs):
@@ -590,7 +608,7 @@ def test_scoring_matches_per_channel_loop(monkeypatch, thinned):
     h = (rng.standard_normal((cfg.n_r, cfg.n_t))
          + 1j * rng.standard_normal((cfg.n_r, cfg.n_t))) / np.sqrt(2 * cfg.n_t)
     n0 = 0.15
-    y = channel.propagate(frame, h, None, channel.NoiseConfig(n0=n0, seed=21))
+    y = channel.propagate(frame.symbols, h, None, channel.NoiseConfig(n0=n0, seed=21))
 
     results = []
     for name in ("mmse_decode", "sic_decode"):
@@ -633,7 +651,7 @@ class TestHistogram:
 class TestReportFiles:
     def _reports(self):
         cfg = ExperimentConfig(**FAST, osnr_db=18.0)
-        return cfg, run_realization(cfg)
+        return cfg, {name: [rep] for name, rep in run_realization(cfg).items()}
 
     def test_run_csv_structure(self, tmp_path):
         cfg, reports = self._reports()
@@ -680,6 +698,13 @@ GOLDEN = {
         "summary.json": "52f1257d72950bec813ef06c86e045dfa1b487bf72e86ed5edadb9c7524e543c",
         "histogram.csv": "fc43adf6613f77cc8094001e670d0b628dcc993c23bf9ca6de2b43a7f97cf97f",
     },
+    "run": {
+        "run.csv": "55601a6988173d7c16f483ddec61ac92d27b86ea1cc9b4acf18b611f485a0e4e",
+    },
+    # with --osnr 16 20
+    "sweep": {
+        "sweep.csv": "5d1cdc221e07995b697e9fcd4be87e75c4b77b0de425691a3e59a1e47b7ca1d3",
+    },
 }
 
 
@@ -693,6 +718,14 @@ def package_env(**overrides):
     src = os.path.dirname(os.path.dirname(os.path.abspath(mdmfso.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+# the files each report-writing subcommand leaves in --out
+_REPORTS = {
+    "run": ["run.csv"],
+    "sweep": ["sweep.csv"],
+    "monte-carlo": ["histogram.csv", "realizations.csv", "summary.json"],
+}
 
 
 class TestCli:
@@ -718,7 +751,7 @@ class TestCli:
         out = tmp_path / "run"
         rc = cli_main(["run", "--config", config_file, "--out", str(out)])
         assert rc == 0
-        assert (out / "run.csv").exists()
+        assert hashes(out) == GOLDEN["run"]
 
     def test_monte_carlo(self, tmp_path, config_file, capsys):
         out = tmp_path / "mc"
@@ -744,6 +777,7 @@ class TestCli:
         assert rc == 0
         lines = (out / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2  # two points x two decoders
+        assert hashes(out) == GOLDEN["sweep"]
 
     def test_stats(self, tmp_path, config_file):
         out = tmp_path / "stats"
@@ -862,21 +896,24 @@ class TestCli:
         assert capsys.readouterr().err == "error: computation failed\n"
         assert not out.exists()
 
-    @given(RUN_CONFIGS)
+    @pytest.mark.parametrize("command", ["run", "sweep", "monte-carlo"])
+    @given(data=RUN_CONFIGS)
     @settings(max_examples=40, deadline=None)
-    def test_run_fuzz_exits_0_or_1_with_error(self, data):
-        # the CLI contract on any config: exit 0 with run.csv, or exit 1
-        # with an `error:` line and no --out directory; nothing raises
+    def test_run_fuzz_exits_0_or_1_with_error(self, command, data):
+        # the CLI contract on any config: exit 0 with the command's
+        # reports, or exit 1 with an `error:` line and no --out directory;
+        # nothing raises. A sweep has a one-point grid unless data sets one
+        base = {**FAST, "osnr_grid": [12.0]} if command == "sweep" else FAST
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "cfg.json")
             with open(cfg, "w") as fh:
-                json.dump({**FAST, **data}, fh)
+                json.dump({**base, **data}, fh)
             out = os.path.join(tmp, "out")
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                rc = cli_main(["run", "--config", cfg, "--out", out])
+                rc = cli_main([command, "--config", cfg, "--out", out])
             if rc == 0:
-                assert os.path.exists(os.path.join(out, "run.csv"))
+                assert sorted(os.listdir(out)) == _REPORTS[command]
             else:
                 assert rc == 1
                 assert err.getvalue().startswith("error: ")
