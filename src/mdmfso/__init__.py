@@ -17,7 +17,6 @@ from .screens import (
     write_screen,
 )
 from .optics import (
-    ApertureConfig,
     ChannelMatrix,
     GridGeometry,
     ModalCoupler,
@@ -53,7 +52,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApertureConfig",
     "ChannelEstimate",
     "ChannelMatrix",
     "DecodeResult",

@@ -226,17 +226,18 @@ def mmse_decode(y, h, n0):
     )
 
 
-def _sic_stages(h, n0, order=None):
-    """The MMSE combiners of every SIC stage, in one pass.
+def _sic_stages(h, n0):
+    """The greedy order and the MMSE combiners of every SIC stage, in one
+    pass.
 
     Stage s combines against the columns not decoded before it, kept in
     index order, so stage 1 combines against H itself. The decoded
-    channel of each stage is order[s], or, when order is None, the
-    remaining channel of highest post-detection SINR (ties to the lowest
-    index). Returns (order, first, w, sinr, regularized): first holds the
-    stage-1 combiners of every channel, w[:, s] is the combiner of stage
-    s, sinr[k] the SINR of channel k at its stage, and regularized tells
-    whether the n0=0 singular guard fired at any stage.
+    channel of each stage is the remaining channel of highest
+    post-detection SINR (ties to the lowest index). Returns (order,
+    first, w, sinr, regularized): first holds the stage-1 combiners of
+    every channel, w[:, s] is the combiner of stage s, sinr[k] the SINR
+    of channel k at its stage, and regularized tells whether the n0=0
+    singular guard fired at any stage.
     """
     n_r, n_t = h.shape
     remaining = list(range(n_t))
@@ -248,11 +249,8 @@ def _sic_stages(h, n0, order=None):
         w_s, reg = _mmse_weights(h[:, remaining], n0)
         regularized = regularized or reg
         stage_sinr = _post_sinr(w_s, h[:, remaining])
-        if order is None:
-            # argmax returns the first maximum; remaining is kept ascending
-            pos = int(np.argmax(stage_sinr))
-        else:
-            pos = remaining.index(order[s])
+        # argmax returns the first maximum; remaining is kept ascending
+        pos = int(np.argmax(stage_sinr))
         k = remaining.pop(pos)
         picked.append(k)
         if s == 0:
@@ -271,9 +269,9 @@ def sic_order(h, n0):
     return _sic_stages(np.asarray(h), n0)[0]
 
 
-def sic_decode(y, h, n0, order=None):
-    """Successive interference cancellation along the given decode order
-    (greedy max-SINR when order is None).
+def sic_decode(y, h, n0):
+    """Successive interference cancellation in the greedy max-SINR decode
+    order of sic_order.
 
     Stage s MMSE-combines against the not-yet-decoded columns after the
     already-decoded channels are cancelled. The cancellation runs in
@@ -290,9 +288,7 @@ def sic_decode(y, h, n0, order=None):
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
     n_t = h.shape[1]
-    if order is not None and sorted(order) != list(range(n_t)):
-        raise ValueError("order must be a permutation of the transmit channels")
-    order, first, w, sinr, regularized = _sic_stages(h, n0, order)
+    order, first, w, sinr, regularized = _sic_stages(h, n0)
 
     # the MMSE soft output, whose row order[0] is stage 1's; the rows of
     # later stages are replaced in turn. hard holds one row per stage.

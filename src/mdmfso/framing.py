@@ -2,7 +2,9 @@
 
 Each frame is a 1680-symbol training sequence followed by a payload in
 which every 10th symbol is a pilot (1 pilot + 9 data). Data bits come
-from a PRBS-15 generator; training and pilots are seeded balanced QPSK.
+from a PRBS-15 generator and are Gray-mapped to QPSK; a Frame keeps the
+symbols only, since qpsk_demap gives the bits back. Training and pilots
+are seeded balanced QPSK.
 Channels of one spatial mode share the mode's decorrelation delay while
 the X/Y tributaries carry independent data; the whole stream is
 cyclically shifted by the delay.
@@ -18,9 +20,6 @@ PILOT_SEED = 202
 DATA_SEED = 303
 
 QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
-
-# Gray demap consistent with QPSK above: first bit = Im < 0, second = Re < 0
-_SYMBOL_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
 
 _PRBS_LEN = 2 ** 15 - 1
 
@@ -125,15 +124,14 @@ class Frame:
 
     symbols: (n_channels, T) complex, unit average energy per channel.
     ts_mask / pilot_mask / data_mask: (n_channels, T) booleans partitioning
-    each stream. data_bits: (n_channels, T, 2) with the Gray bit pair at
-    data positions (zeros elsewhere).
+    each stream. The data bits are not stored: qpsk_demap of the data
+    symbols gives them back.
     """
 
     symbols: np.ndarray
     ts_mask: np.ndarray
     pilot_mask: np.ndarray
     data_mask: np.ndarray
-    data_bits: np.ndarray
 
     @property
     def n_channels(self):
@@ -190,7 +188,6 @@ def assemble_frames(layout, n_channels, n_frames, delays):
     ts_mask = np.zeros((n_channels, total), dtype=bool)
     pilot_mask = np.zeros((n_channels, total), dtype=bool)
     data_mask = np.zeros((n_channels, total), dtype=bool)
-    data_bits = np.zeros((n_channels, total, 2), dtype=np.uint8)
 
     base_ts = np.zeros(layout.frame_len, dtype=bool)
     base_ts[: layout.ts_len] = True
@@ -213,25 +210,21 @@ def assemble_frames(layout, n_channels, n_frames, delays):
         stream[ts_tiled] = np.tile(ts, n_frames)
         stream[pilot_tiled] = pilots
         stream[data_tiled] = qpsk_map(bits)
-        bits_arr = np.zeros((total, 2), dtype=np.uint8)
-        bits_arr[data_tiled] = bits.reshape(-1, 2)
         shift = delays[ch]
         symbols[ch] = np.roll(stream, shift)
         ts_mask[ch] = np.roll(ts_tiled, shift)
         pilot_mask[ch] = np.roll(pilot_tiled, shift)
         data_mask[ch] = np.roll(data_tiled, shift)
-        data_bits[ch] = np.roll(bits_arr, shift, axis=0)
 
     # one Frame serves every realization of a call: no stray write may
     # change what the later ones transmit
-    for array in (symbols, ts_mask, pilot_mask, data_mask, data_bits):
+    for array in (symbols, ts_mask, pilot_mask, data_mask):
         array.setflags(write=False)
     return Frame(
         symbols=symbols,
         ts_mask=ts_mask,
         pilot_mask=pilot_mask,
         data_mask=data_mask,
-        data_bits=data_bits,
     )
 
 

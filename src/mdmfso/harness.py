@@ -7,7 +7,9 @@ CSV / JSON reports for single runs, OSNR sweeps and Monte-Carlo
 ensembles. It is the one module that unwraps ChannelMatrix.h,
 Frame.symbols and ChannelEstimate.h_hat into the plain arrays that
 channel and dsp take, and the one that writes report files, through
-write_csv and write_json.
+write_csv and write_json. ExperimentConfig checks every input where it
+enters, the screen geometry and the mode waist included, so that no
+layer below it sees a config it cannot build.
 
 Each entry-point call builds what its realizations share once:
 monte_carlo and sweep_osnr build one optics.ModalCoupler, through
@@ -127,6 +129,18 @@ class ExperimentConfig:
             raise ValueError("channel_kind must be turbulent, blank or unitary")
         if self.n_frames < 1 or self.realizations < 1:
             raise ValueError("n_frames and realizations must be >= 1")
+        # the screen geometry and every mode, as the coupler and the
+        # screens will build them
+        try:
+            self.screen_config()
+            for label in (*self.tx_modes, *self.rx_modes):
+                optics.ModeSpec.lp(label, self.waist)
+        except ValueError as exc:
+            raise ValueError(f"config {exc}") from None
+        if not self.aperture_diameter > 0:
+            raise ValueError(
+                f"config aperture_diameter={self.aperture_diameter!r} must be positive"
+            )
         if self.aperture_diameter > self.physical_length:
             raise ValueError(
                 f"config aperture_diameter={self.aperture_diameter!r} exceeds "
@@ -134,10 +148,6 @@ class ExperimentConfig:
             )
         if not self.tx_modes or not self.rx_modes:
             raise ValueError("config tx_modes and rx_modes must each name a mode")
-        if not set(self.tx_modes) <= set(optics.LP_TO_LG):
-            raise ValueError("unknown transmit mode label")
-        if not set(self.rx_modes) <= set(optics.LP_TO_LG):
-            raise ValueError("unknown receive mode label")
         if not 0 < self.baud < np.inf:
             raise ValueError(f"config baud={self.baud!r} must be positive and finite")
         for osnr in (self.osnr_db, *self.osnr_grid):
@@ -147,6 +157,12 @@ class ExperimentConfig:
                 raise ValueError(f"config osnr_db or osnr_grid is {osnr} dB: {exc}") from None
         if self.layout.data_per_frame < 1:
             raise ValueError("config frame_len, ts_len and pilot_period leave no data symbol")
+        pilots = self.layout.pilots_per_frame * self.n_frames
+        if pilots % 4 != 0:
+            raise ValueError(
+                f"config frame_len, ts_len, pilot_period and n_frames give {pilots} "
+                "pilots per stream; balanced QPSK needs a multiple of 4"
+            )
         try:
             channel_mod.PhaseNoiseConfig(linewidth=self.linewidth)
             channel_mod.IsiConfig.normalized(self.isi_taps)
@@ -215,7 +231,6 @@ class RunReport:
     """Per-realization, per-decoder link report."""
 
     realization: int
-    seed: int
     decoder: str
     ber: tuple
     evm_pct: tuple
@@ -280,9 +295,7 @@ def build_channel(config, realization, coupler=None):
         d = r.diagonal()
         q *= d / abs(d)
         h = q[:, : config.n_t]
-        return optics.ChannelMatrix(
-            h=h, n_r=config.n_r, n_t=config.n_t, calibration=np.ones(config.n_t)
-        )
+        return optics.ChannelMatrix(h=h)
     if coupler is None:
         coupler = ModalCoupler(config)
     if config.channel_kind == "blank":
@@ -333,8 +346,8 @@ def decode_stream(y, frame, config, n0, h_true=None):
     """Frame-by-frame receive DSP over a full stream; h_true is the true
     channel array, which genie-CSI mode decodes with.
 
-    Returns per decoder a dict with per-channel bit errors / bit counts,
-    per-channel squared soft-error / symbol counts, the frame-0 SIC
+    Returns per decoder a dict with per-channel bit errors, squared
+    soft errors and data-symbol counts (two bits each), the frame-0 SIC
     order, and the frame-0 channel conditioning.
     """
     layout = config.layout
@@ -342,7 +355,6 @@ def decode_stream(y, frame, config, n0, h_true=None):
     acc = {
         d: {
             "bit_err": np.zeros(n_t),
-            "bits": np.zeros(n_t),
             "err2": np.zeros(n_t),
             "syms": np.zeros(n_t),
             "order": None,
@@ -377,11 +389,12 @@ def decode_stream(y, frame, config, n0, h_true=None):
                 taps=config.equalizer_taps,
                 step=config.equalizer_step,
             )
+        sent = frame.symbols[:, sl]
         dmask = frame.data_mask[:, sl]
         off_data = ~dmask
         syms = np.count_nonzero(dmask, axis=1)
-        # sent Gray bits (Im < 0, Re < 0) at data positions
-        ref_bits = frame.data_bits[:, sl]
+        # the sent Gray bits (Im < 0, Re < 0)
+        sent_im, sent_re = sent.imag < 0, sent.real < 0
         for name in config.decoders:
             if name == "mmse":
                 res = dsp.mmse_decode(y_c, h_hat, n0)
@@ -392,13 +405,12 @@ def decode_stream(y, frame, config, n0, h_true=None):
             # hard_decision sends a component >= 0 to the bit 0 and any
             # other value (NaN too) to 1, so a decoded bit is wrong exactly
             # where (component >= 0) equals the sent bit
-            wrong_im = ((res.soft.imag >= 0) == ref_bits[..., 0]) & dmask
-            wrong_re = ((res.soft.real >= 0) == ref_bits[..., 1]) & dmask
-            err2 = np.abs(res.soft - frame.symbols[:, sl]) ** 2
+            wrong_im = ((res.soft.imag >= 0) == sent_im) & dmask
+            wrong_re = ((res.soft.real >= 0) == sent_re) & dmask
+            err2 = np.abs(res.soft - sent) ** 2
             err2[off_data] = 0.0
             acc[name]["bit_err"] += np.count_nonzero(wrong_im, axis=1)
             acc[name]["bit_err"] += np.count_nonzero(wrong_re, axis=1)
-            acc[name]["bits"] += 2 * syms
             acc[name]["err2"] += err2.sum(axis=1)
             acc[name]["syms"] += syms
             # freed before the next decoder allocates its own output
@@ -436,20 +448,18 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
     acc, cond = decode_stream(y, frame, config, n0, h_true=h.h)
     reports = {}
     for name, a in acc.items():
-        ber = tuple(a["bit_err"] / a["bits"])
+        ber = tuple(a["bit_err"] / (2 * a["syms"]))
         evm = tuple(100.0 * np.sqrt(a["err2"] / a["syms"]))
-        bits_total = int(a["bits"].sum())
         avg = float(np.mean(ber))
         reports[name] = RunReport(
             realization=realization,
-            seed=config.seed,
             decoder=name,
             ber=ber,
             evm_pct=evm,
             sic_order=a["order"] if name == "sic" else tuple(range(config.n_t)),
             outage=bool(avg > config.hd_fec),
             cond_h=cond,
-            data_bits=bits_total,
+            data_bits=int(2 * a["syms"].sum()),
             error_free=bool(a["bit_err"].sum() == 0),
         )
     return reports

@@ -9,9 +9,10 @@ the two polarizations and column-calibrated on the blank screen.
 
 Every mode field is real: a ModeSpec is accepted only when its LG
 weights make it so, as for every LP mode, and a bare LG (OAM) mode is
-rejected. ModalCoupler is the one coupling implementation: it evaluates
-each distinct mode once, keeps it only on the aperture's pixels, and
-reduces each screen to one pass over those pixels in real arithmetic.
+rejected. ModalCoupler is the one coupling implementation, built from
+an ExperimentConfig by its one constructor: it evaluates each distinct
+mode once, keeps it only on the aperture's pixels, and reduces each
+screen to one pass over those pixels in real arithmetic.
 LGTerms holds the one LG formula that every mode field is built from.
 """
 
@@ -99,31 +100,12 @@ class ModeSpec:
 
 
 @dataclass(frozen=True)
-class ApertureConfig:
-    """Hard circular receive aperture co-registered with the screen grid."""
-
-    diameter: float = 8.4e-3
-
-    def mask(self, grid):
-        if self.diameter > grid.grid_size * grid.pitch:
-            raise ValueError("aperture diameter exceeds the raster extent")
-        c = grid.coords()
-        r2 = c[None, :] ** 2 + c[:, None] ** 2
-        return (r2 <= (self.diameter / 2.0) ** 2).astype(float)
-
-
-@dataclass(frozen=True)
 class ChannelMatrix:
-    """Polarization-expanded MIMO channel with its static calibration."""
+    """Polarization-expanded (n_r, n_t) MIMO channel, calibrated."""
 
     h: np.ndarray
-    n_r: int
-    n_t: int
-    calibration: np.ndarray
 
     def __post_init__(self):
-        if self.h.shape != (self.n_r, self.n_t):
-            raise ValueError("h shape inconsistent with (n_r, n_t)")
         if not np.all(np.isfinite(self.h)):
             raise ValueError("channel matrix contains non-finite entries")
 
@@ -239,31 +221,23 @@ class ModalCoupler:
     exponentiates the screen and sums only over those pixels; mode
     fields are real (see ModeSpec), so <psi_rx| needs no conjugate and
     the sums run in real arithmetic.
-    `ModalCoupler(config)` reads the grid, aperture, waist and mode
-    labels of an ExperimentConfig; `of_modes` takes them explicitly.
+    The one constructor reads the grid, aperture, waist and mode labels
+    of an ExperimentConfig, which has checked them.
     """
 
     def __init__(self, config):
-        self._couple(
-            GridGeometry(
-                grid_size=config.grid_size,
-                pitch=config.physical_length / config.grid_size,
-            ),
-            [ModeSpec.lp(m, config.waist) for m in config.tx_modes],
-            [ModeSpec.lp(m, config.waist) for m in config.rx_modes],
-            ApertureConfig(diameter=config.aperture_diameter),
+        grid = GridGeometry(
+            grid_size=config.grid_size,
+            pitch=config.physical_length / config.grid_size,
         )
-
-    @classmethod
-    def of_modes(cls, grid, tx, rx, aperture):
-        """Coupler for ModeSpec sequences tx and rx on grid behind aperture."""
-        coupler = cls.__new__(cls)
-        coupler._couple(grid, list(tx), list(rx), aperture)
-        return coupler
-
-    def _couple(self, grid, tx, rx, aperture):
+        tx = [ModeSpec.lp(m, config.waist) for m in config.tx_modes]
+        rx = [ModeSpec.lp(m, config.waist) for m in config.rx_modes]
         self._shape = (grid.grid_size, grid.grid_size)
-        self._pixels = np.flatnonzero(aperture.mask(grid))
+        # the hard circular aperture, co-registered with the screen grid
+        c = grid.coords()
+        self._pixels = np.flatnonzero(
+            c[None, :] ** 2 + c[:, None] ** 2 <= (config.aperture_diameter / 2.0) ** 2
+        )
         self._pitch2 = grid.pitch ** 2
         # one row per distinct mode, transmit modes first, so that the
         # transmit stack and (when the receive modes are the stack's rows
@@ -352,6 +326,4 @@ def polarization_expand(m, calibration=None):
     if calibration is None:
         calibration = np.ones(h.shape[1])
     h = h * np.asarray(calibration)[None, :]
-    return ChannelMatrix(
-        h=h, n_r=h.shape[0], n_t=h.shape[1], calibration=np.asarray(calibration)
-    )
+    return ChannelMatrix(h=h)

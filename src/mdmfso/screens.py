@@ -51,15 +51,17 @@ class ScreenConfig:
 
     def __post_init__(self):
         if self.grid_size < 2 or self.grid_size % 2 != 0:
-            raise ValueError("grid_size must be an even integer >= 2")
+            raise ValueError(f"grid_size={self.grid_size!r} must be an even integer >= 2")
         if not (0.0 < self.inner_scale < self.physical_length < self.outer_scale):
             raise ValueError(
-                "require 0 < inner_scale < physical_length < outer_scale"
+                f"inner_scale={self.inner_scale!r}, physical_length="
+                f"{self.physical_length!r} and outer_scale={self.outer_scale!r} "
+                "must satisfy 0 < inner_scale < physical_length < outer_scale"
             )
         if self.fried <= 0.0:
-            raise ValueError("fried parameter must be positive")
+            raise ValueError(f"fried={self.fried!r} must be positive")
         if self.subharmonic_levels < 0:
-            raise ValueError("subharmonic_levels must be >= 0")
+            raise ValueError(f"subharmonic_levels={self.subharmonic_levels!r} must be >= 0")
 
     @property
     def pitch(self):

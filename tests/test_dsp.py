@@ -387,17 +387,6 @@ class TestSicDecode:
             b = sic_decode(y, u, 0.1)
             np.testing.assert_array_equal(a.hard, b.hard)
 
-    def test_explicit_order_respected(self):
-        rng = np.random.default_rng(17)
-        h = random_channel(rng, 3, 3)
-        y = np.zeros((3, 10), dtype=complex)
-        res = sic_decode(y, h, 0.1, order=(2, 0, 1))
-        assert res.order == (2, 0, 1)
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            sic_decode(np.zeros((2, 5)), np.eye(2), 0.1, order=(0, 0))
-
     def test_bits_roundtrip(self):
         s = QPSK[np.array([[0, 1, 2, 3]])]
         res = mmse_decode(s, np.eye(1, dtype=complex), 0.0)
@@ -408,18 +397,18 @@ class TestSicDecode:
         )
 
 
-def reference_sic(y, h, n0, order=None):
-    """The sequential SIC: rebuild the stream with every decoded channel
-    subtracted, then MMSE-combine the remaining columns against it."""
+def reference_sic(y, h, n0):
+    """The sequential SIC in the greedy order: rebuild the stream with
+    every decoded channel subtracted, then MMSE-combine the remaining
+    columns against it."""
     n_t = h.shape[1]
-    if order is None:
-        remaining = list(range(n_t))
-        order = []
-        while remaining:
-            w, _ = dsp._mmse_weights(h[:, remaining], n0)
-            best = remaining[int(np.argmax(dsp._post_sinr(w, h[:, remaining])))]
-            order.append(best)
-            remaining.remove(best)
+    remaining = list(range(n_t))
+    order = []
+    while remaining:
+        w, _ = dsp._mmse_weights(h[:, remaining], n0)
+        best = remaining[int(np.argmax(dsp._post_sinr(w, h[:, remaining])))]
+        order.append(best)
+        remaining.remove(best)
     soft = np.empty((n_t, y.shape[1]), dtype=complex)
     hard = np.empty_like(soft)
     sinr = np.empty(n_t)
@@ -439,8 +428,7 @@ def reference_sic(y, h, n0, order=None):
 
 
 @pytest.mark.parametrize("n0", [0.05, 0.0])
-@pytest.mark.parametrize("explicit_order", [False, True], ids=["greedy", "given"])
-def test_sic_matches_sequential_reference(n0, explicit_order):
+def test_sic_matches_sequential_reference(n0):
     # coefficient-space cancellation against the stream-rebuilding SIC on
     # 12x10 channels; n0 = 0 takes the regularized path (rank H H^H < 12)
     rng = np.random.default_rng(19)
@@ -448,13 +436,11 @@ def test_sic_matches_sequential_reference(n0, explicit_order):
         h = random_channel(rng, 12, 10)
         s = QPSK[rng.integers(0, 4, (10, 300))]
         y = propagate(s, h, None, NoiseConfig(n0=0.05, seed=trial))
-        order = tuple(int(k) for k in rng.permutation(10)) if explicit_order else None
-        soft, hard, ref_order, sinr, regularized = reference_sic(y, h, n0, order)
-        res = sic_decode(y, h, n0, order=order)
+        soft, hard, ref_order, sinr, regularized = reference_sic(y, h, n0)
+        res = sic_decode(y, h, n0)
         assert res.order == ref_order
         assert res.regularized == regularized == (n0 == 0.0)
         np.testing.assert_array_equal(res.sinr, sinr)
         np.testing.assert_array_equal(res.hard, hard)
         np.testing.assert_allclose(res.soft, soft, rtol=0, atol=1e-12)
-        if not explicit_order:
-            assert sic_order(h, n0) == ref_order
+        assert sic_order(h, n0) == ref_order

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdmfso.framing import (
+    DATA_SEED,
     QPSK,
     Frame,
     FrameLayout,
@@ -167,17 +168,17 @@ class TestAssembly:
         assert np.setdiff1d(grid, known).size == 0
 
     def test_data_bits_consistent(self, frame):
+        # channel 5's data symbols, un-rolled by its delay and demapped,
+        # are the PRBS-15 bits of its data seed
         ch = 5
-        mask = frame.data_mask[ch]
-        bits = qpsk_demap(frame.symbols[ch][mask]).reshape(-1)
-        np.testing.assert_array_equal(
-            bits, frame.data_bits[ch][mask].reshape(-1)
-        )
-        assert not frame.data_bits[ch][~mask].any()
+        delay = mode_delays(LAYOUT, 6)[ch]
+        mask = np.roll(frame.data_mask[ch], -delay)
+        bits = qpsk_demap(np.roll(frame.symbols[ch], -delay)[mask]).reshape(-1)
+        seed = int(np.random.SeedSequence([DATA_SEED, ch]).generate_state(1)[0])
+        np.testing.assert_array_equal(bits, prbs15(seed % (2 ** 15 - 1) + 1, bits.size))
+        assert bits.size == 2 * 2 * LAYOUT.data_per_frame
 
-    @pytest.mark.parametrize(
-        "name", ["symbols", "ts_mask", "pilot_mask", "data_mask", "data_bits"]
-    )
+    @pytest.mark.parametrize("name", ["symbols", "ts_mask", "pilot_mask", "data_mask"])
     def test_arrays_read_only(self, frame, name):
         # one Frame is shared by every realization of a call
         array = getattr(frame, name)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -101,6 +102,12 @@ _RUN_VALUES = {
     "isi_taps": st.lists(st.floats(-2, 2) | st.integers(-2, 2), max_size=5),
     "hd_fec": st.floats(),
     "realizations": st.integers(1, 2),
+    "grid_size": st.integers(-2, 3) | st.sampled_from([16, 17, 64]),
+    "physical_length": st.floats() | st.sampled_from([1e-4, 8.4e-3, 1.0]),
+    "outer_scale": st.floats() | st.sampled_from([8.832e-3, 1e3]),
+    "inner_scale": st.floats() | st.sampled_from([0.0, 1e-6, 8.832e-3]),
+    "subharmonic_levels": st.integers(-2, 3),
+    "aperture_diameter": st.floats() | st.sampled_from([0.0, 1e-3, 8.832e-3]),
 }
 RUN_CONFIGS = st.sets(st.sampled_from(sorted(_RUN_VALUES)), max_size=4).flatmap(
     lambda keys: st.fixed_dictionaries(
@@ -162,6 +169,19 @@ class TestConfig:
             {"hd_fec": 1.0},
             {"tx_modes": ()},
             {"rx_modes": ()},
+            {"grid_size": 0},
+            {"grid_size": 7},
+            {"channel_kind": "blank", "grid_size": 479},
+            {"fried": 0.0},
+            {"fried": -1e-3},
+            {"inner_scale": 8.832e-3},
+            {"outer_scale": 8.832e-3},
+            {"physical_length": np.inf},
+            {"subharmonic_levels": -1},
+            {"waist": 0.0},
+            {"waist": 1e151},
+            {"aperture_diameter": 0.0},
+            {"aperture_diameter": -8.4e-3},
         ],
     )
     def test_invalid(self, kwargs):
@@ -182,6 +202,10 @@ class TestConfig:
             ({"osnr_grid": (10.0, -4000.0)}, "is -4000.0 dB: OSNR of -4000.0 dB has no finite"),
             ({"baud": 0.0}, "baud=0.0 must be positive and finite"),
             ({"baud": np.inf}, "baud=inf must be positive and finite"),
+            (
+                {"frame_len": 1700, "n_frames": 1},
+                "frame_len, ts_len, pilot_period and n_frames give 2 pilots per stream",
+            ),
         ],
     )
     def test_unusable_link_rejected(self, kwargs, match):
@@ -230,7 +254,7 @@ class TestConfig:
 class TestRunReport:
     def _report(self, **kw):
         base = dict(
-            realization=0, seed=0, decoder="mmse", ber=(1e-3, 3e-3),
+            realization=0, decoder="mmse", ber=(1e-3, 3e-3),
             evm_pct=(20.0, 25.0), sic_order=(0, 1), outage=False,
             cond_h=2.0, data_bits=10000, error_free=False,
         )
@@ -451,7 +475,6 @@ class TestPipeline:
             h = coupler.channel_matrix(realization_screen(cfg, r))
             expected = build_channel(other, r)
             assert np.array_equal(h.h, expected.h)
-            assert np.array_equal(h.calibration, expected.calibration)
 
     def test_monte_carlo_validation(self):
         cfg = ExperimentConfig(**FAST)
@@ -569,7 +592,7 @@ def reference_scores(frame, config, results):
     """decode_stream's accumulators by the per-channel loop, from the
     decoder results of each frame window in call order."""
     n_t = config.n_t
-    acc = {d: {k: np.zeros(n_t) for k in ("bit_err", "bits", "err2", "syms")}
+    acc = {d: {k: np.zeros(n_t) for k in ("bit_err", "err2", "syms")}
            for d in config.decoders}
     windows = harness._frame_windows(frame, config.layout, config.n_frames)
     calls = iter(results)
@@ -578,11 +601,10 @@ def reference_scores(frame, config, results):
             res = next(calls)
             dmask = frame.data_mask[:, sl]
             dec_bits = qpsk_demap(res.hard)
-            ref_bits = frame.data_bits[:, sl]
+            ref_bits = qpsk_demap(frame.symbols[:, sl])
             for ch in range(n_t):
                 m = dmask[ch]
                 acc[name]["bit_err"][ch] += np.sum(dec_bits[ch][m] != ref_bits[ch][m])
-                acc[name]["bits"][ch] += 2 * m.sum()
                 err = res.soft[ch][m] - frame.symbols[ch, sl][m]
                 acc[name]["err2"][ch] += np.sum(np.abs(err) ** 2)
                 acc[name]["syms"][ch] += m.sum()
@@ -621,7 +643,7 @@ def test_scoring_matches_per_channel_loop(monkeypatch, thinned):
     expected = reference_scores(frame, cfg, results)
     for name in cfg.decoders:
         assert acc[name]["bit_err"].sum() > 0
-        for key in ("bit_err", "bits", "syms"):
+        for key in ("bit_err", "syms"):
             np.testing.assert_array_equal(acc[name][key], expected[name][key])
         np.testing.assert_allclose(acc[name]["err2"], expected[name]["err2"], rtol=1e-12)
     if thinned:
@@ -857,9 +879,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "data",
         [{"pilot_period": 0}, {"frame_len": 1680}, {"pilot_period": 1}, {"osnr_db": -np.inf},
-         {"osnr_db": -4000.0}, {"osnr_grid": [10.0, -4000.0]}],
+         {"osnr_db": -4000.0}, {"osnr_grid": [10.0, -4000.0]}, {"grid_size": 0}],
         ids=["no_pilot_period", "no_payload", "all_pilots", "minus_inf_osnr",
-             "no_finite_noise", "no_finite_noise_in_grid"],
+             "no_finite_noise", "no_finite_noise_in_grid", "zero_grid"],
     )
     def test_unusable_link_exits_1(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
@@ -971,6 +993,28 @@ print(loaded("scipy"))
         check=True,
     )
     assert out.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_only_the_composers_import_mdmfso_modules():
+    # screens, optics, framing, channel and dsp are leaves; harness
+    # composes them, and cli and the package __init__ sit on top
+    package = os.path.dirname(mdmfso.__file__)
+    modules = {name for name in os.listdir(package) if name.endswith(".py")}
+    assert {"screens.py", "optics.py", "framing.py", "channel.py", "dsp.py"} <= modules
+    importers = set()
+    for name in modules:
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                targets = [node.module or ""] if node.level == 0 else ["mdmfso"]
+            elif isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(t.split(".")[0] == "mdmfso" for t in targets):
+                importers.add(name)
+    assert importers == {"__init__.py", "cli.py", "harness.py"}
 
 
 def test_bench_trace_names_resolve():
