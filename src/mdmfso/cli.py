@@ -3,9 +3,11 @@
 Subcommands: gen-screens, stats, run, sweep, monte-carlo. Every
 subcommand takes --config (JSON file of ExperimentConfig keys), --seed
 (override), --decoder and --out, and exits 0 on success or 1 with a
-diagnostic on any module error. Every subcommand but gen-screens, which
-writes its screens as they stream, creates --out only once its
-computation has succeeded.
+diagnostic on any module error. Each subcommand but gen-screens is one
+harness call (screen_statistics, run_realization, sweep_osnr or
+monte_carlo), whose results it writes to --out and prints; it creates
+--out only once that call has succeeded. gen-screens writes its screens
+as screens.iter_screens streams them.
 """
 
 import argparse
@@ -14,9 +16,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import harness, optics, screens
+from . import harness, screens
 
 
 def _load_config(args):
@@ -53,27 +53,8 @@ def cmd_gen_screens(args):
 
 
 def cmd_stats(args):
-    # one pass over the streamed ensemble; files are written after it
     cfg = _load_config(args)
-    harness.check_stats_count(args.count)
-    base = cfg.screen_config()
-    coupler = optics.ModalCoupler(cfg)
-    powers = []
-
-    def captured(stream):
-        # the structure function consumes the screens; take each one's
-        # captured power on the way
-        for _, screen in stream:
-            powers.append(coupler.captured_power(screen))
-            yield screen
-
-    k_max = 0.2 * base.physical_length / base.pitch
-    seps = np.unique(np.round(np.geomspace(5, k_max, 12)).astype(int)) * base.pitch
-    rs, d_emp = screens.structure_function(
-        captured(screens.iter_screens(base, args.count)), seps
-    )
-    stats = harness.power_statistics(powers)
-
+    rs, d_emp, stats = harness.screen_statistics(cfg, args.count)
     os.makedirs(args.out, exist_ok=True)
     d_ref = screens.kolmogorov_structure_function(rs, cfg.fried)
     harness.write_csv(

@@ -8,15 +8,19 @@ ensembles. It is the one module that unwraps ChannelMatrix.h,
 Frame.symbols and ChannelEstimate.h_hat into the plain arrays that
 channel and dsp take, and the one that writes report files, through
 write_csv and write_json. ExperimentConfig checks every input where it
-enters, the screen geometry and the mode waist included, so that no
-layer below it sees a config it cannot build.
+enters, the screen geometry, the mode waist and the pixels that sample
+it included, so that no layer below it sees a config it cannot build.
 
-Each entry-point call builds what its realizations share once:
-monte_carlo and sweep_osnr build one optics.ModalCoupler, through
-which every coupling goes, and one set of transmit frames; sweep_osnr
-also builds its one channel matrix. run_realization, called alone,
-builds its own. Their realizations and OSNR points then run on the
-ordered worker map of screens._ordered_map, in input order.
+The entry points are run_realization, sweep_osnr, monte_carlo and
+screen_statistics, one per CLI subcommand that computes. Each call
+builds what its realizations share once: monte_carlo and sweep_osnr
+build one optics.ModalCoupler, through which every coupling goes, and
+one set of transmit frames; sweep_osnr also builds its one channel
+matrix. run_realization, called alone, builds its own. Their
+realizations and OSNR points then run on the ordered worker map of
+screens._ordered_map, in input order. screen_statistics builds one
+coupler and makes one pass over a streamed screen ensemble, which
+yields both the structure function and the captured-power statistics.
 
 A realization's screen is made in one place, build_channel (through
 realization_screen). Several mode sets share one turbulence ensemble by
@@ -40,6 +44,10 @@ from .framing import FrameLayout, assemble_frames, mode_delays
 HD_FEC_LIMIT = 4.7e-3
 DECODERS = ("mmse", "sic")
 BER_BINS_PER_DECADE = 2
+# a mode waist spans at least this many raster pixels; the energy check
+# of optics.mode_field catches clipping, not a mode sampled by a few
+# pixels
+_MIN_WAIST_PIXELS = 10
 
 
 # element type of each tuple-valued ExperimentConfig field
@@ -137,6 +145,14 @@ class ExperimentConfig:
                 optics.ModeSpec.lp(label, self.waist)
         except ValueError as exc:
             raise ValueError(f"config {exc}") from None
+        # grid_size is compared, not divided, so that an integer beyond
+        # the float range cannot overflow
+        if self.grid_size < _MIN_WAIST_PIXELS * (self.physical_length / self.waist):
+            raise ValueError(
+                f"config waist={self.waist!r} spans fewer than {_MIN_WAIST_PIXELS} "
+                f"pixels of a raster of physical_length={self.physical_length!r} "
+                f"and grid_size={self.grid_size!r}"
+            )
         if not self.aperture_diameter > 0:
             raise ValueError(
                 f"config aperture_diameter={self.aperture_diameter!r} must be positive"
@@ -579,7 +595,7 @@ def scintillation_index(powers):
     return float(np.mean(powers ** 2) / np.mean(powers) ** 2 - 1.0)
 
 
-def check_stats_count(count):
+def _check_stats_count(count):
     """Reject an ensemble too small for stable power statistics."""
     if count < 30:
         raise ValueError(f"need at least 30 screens for stable statistics, got {count}")
@@ -622,8 +638,33 @@ def scintillation_stats(ensemble, config):
     a generator over an iter_screens stream, and is read once."""
     coupler = ModalCoupler(config)
     powers = list(screens._ordered_map(coupler.captured_power, ensemble))
-    check_stats_count(len(powers))
+    _check_stats_count(len(powers))
     return power_statistics(powers)
+
+
+def screen_statistics(config, count):
+    """The `mdmfso stats` pass: one stream of count screens of config.
+
+    Returns (separations, d_phi, stats): the phase structure function on
+    12 geometric separations from 5 pitches to L/5, and power_statistics
+    of each screen's captured power (see ModalCoupler.captured_power),
+    taken on the calling thread as the structure function reads the
+    stream. The count is checked before any screen is made.
+    """
+    _check_stats_count(count)
+    base = config.screen_config()
+    coupler = ModalCoupler(config)
+    powers = []
+
+    def captured(stream):
+        for _, screen in stream:
+            powers.append(coupler.captured_power(screen))
+            yield screen
+
+    k_max = 0.2 * base.physical_length / base.pitch
+    seps = np.unique(np.round(np.geomspace(5, k_max, 12)).astype(int)) * base.pitch
+    rs, d_phi = screens.structure_function(captured(screens.iter_screens(base, count)), seps)
+    return rs, d_phi, power_statistics(powers)
 
 
 def net_spectral_efficiency(

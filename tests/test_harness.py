@@ -182,6 +182,9 @@ class TestConfig:
             {"waist": 1e151},
             {"aperture_diameter": 0.0},
             {"aperture_diameter": -8.4e-3},
+            # LP01 sampled by about one pixel per waist
+            {"physical_length": 1.0, "grid_size": 480, "tx_modes": ("LP01",),
+             "rx_modes": ("LP01",)},
         ],
     )
     def test_invalid(self, kwargs):
@@ -381,6 +384,21 @@ class TestScintillation:
         assert np.array_equal(streamed["powers"], scintillation_stats(batch, cfg)["powers"])
         with pytest.raises(ValueError, match="at least 30"):
             scintillation_stats(iter(batch[:29]), cfg)
+
+    def test_one_pass_matches_the_bench_shape(self):
+        # the perfbench stats_screens workload makes the statistics of
+        # `mdmfso stats` from a held batch, with its own separation grid
+        cfg = ExperimentConfig(**FAST)
+        rs, d_phi, stats = harness.screen_statistics(cfg, 30)
+        batch = screens.batch_generate(cfg.screen_config(), 30)
+        seps = _perfbench("workloads").stats_separations(batch)
+        bench_rs, bench_d_phi = screens.structure_function(batch, seps)
+        bench = scintillation_stats(batch, cfg)
+        assert np.array_equal(rs, bench_rs)
+        assert np.array_equal(d_phi, bench_d_phi)
+        assert np.array_equal(stats["powers"], bench["powers"])
+        for key in ("scintillation_index", "ks_distance"):
+            assert stats[key] == bench[key]
 
     def test_stats_on_small_ensemble(self):
         cfg = ExperimentConfig(**FAST)
@@ -879,9 +897,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "data",
         [{"pilot_period": 0}, {"frame_len": 1680}, {"pilot_period": 1}, {"osnr_db": -np.inf},
-         {"osnr_db": -4000.0}, {"osnr_grid": [10.0, -4000.0]}, {"grid_size": 0}],
+         {"osnr_db": -4000.0}, {"osnr_grid": [10.0, -4000.0]}, {"grid_size": 0},
+         {"physical_length": 1.0, "tx_modes": ["LP01"], "rx_modes": ["LP01"]}],
         ids=["no_pilot_period", "no_payload", "all_pilots", "minus_inf_osnr",
-             "no_finite_noise", "no_finite_noise_in_grid", "zero_grid"],
+             "no_finite_noise", "no_finite_noise_in_grid", "zero_grid", "undersampled_waist"],
     )
     def test_unusable_link_exits_1(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
@@ -904,13 +923,13 @@ class TestCli:
         if rc:
             assert err.startswith("error: ") and "no finite noise variance" in err
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "monte-carlo"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "monte-carlo", "stats"])
     def test_failed_computation_leaves_no_output(self, tmp_path, capsys, monkeypatch, command):
         # an error raised while computing, after the config is accepted
         def fail(*args, **kwargs):
             raise RuntimeError("computation failed")
 
-        for name in ("run_realization", "sweep_osnr", "monte_carlo"):
+        for name in ("run_realization", "sweep_osnr", "monte_carlo", "screen_statistics"):
             monkeypatch.setattr(harness, name, fail)
         out = tmp_path / "out"
         argv = [command, "--out", str(out)] + (["--osnr", "10"] if command == "sweep" else [])
@@ -997,36 +1016,56 @@ print(loaded("scipy"))
 
 def test_only_the_composers_import_mdmfso_modules():
     # screens, optics, framing, channel and dsp are leaves; harness
-    # composes them, and cli and the package __init__ sit on top
+    # composes them, and cli and the package __init__ sit on top. The cli
+    # makes one harness call per subcommand, so it reaches below harness
+    # only for the screen stream and file format of gen-screens and the
+    # Kolmogorov reference of stats
     package = os.path.dirname(mdmfso.__file__)
     modules = {name for name in os.listdir(package) if name.endswith(".py")}
     assert {"screens.py", "optics.py", "framing.py", "channel.py", "dsp.py"} <= modules
-    importers = set()
+    imported = {}  # module file -> the mdmfso modules it imports
     for name in modules:
         with open(os.path.join(package, name)) as fh:
             tree = ast.parse(fh.read())
+        found = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
-                targets = [node.module or ""] if node.level == 0 else ["mdmfso"]
+                # the dotted path of each imported name, a relative one
+                # taken from the package
+                base = (["mdmfso"] if node.level else []) + ([node.module] if node.module else [])
+                paths = [".".join([*base, alias.name]) for alias in node.names]
             elif isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
+                paths = [alias.name for alias in node.names]
             else:
                 continue
-            if any(t.split(".")[0] == "mdmfso" for t in targets):
-                importers.add(name)
-    assert importers == {"__init__.py", "cli.py", "harness.py"}
+            for path in paths:
+                top, _, rest = path.partition(".")
+                if top == "mdmfso":
+                    found.add(rest.partition(".")[0])
+        imported[name] = found
+    assert {name for name, found in imported.items() if found} == {
+        "__init__.py", "cli.py", "harness.py"
+    }
+    assert imported["cli.py"] == {"harness", "screens"}
+
+
+def _perfbench(name):
+    """The module perfbench/<name>.py, loaded from its file."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_trace_names_resolve():
     # perfbench/tracing.py wraps these names from outside the program, so
     # a rename or deletion here would break `perfbench/run.py --trace 1`
     import importlib
-    import importlib.util
 
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench("tracing")
     for name, (home, attr) in tracing.FUNCTIONS.items():
         assert callable(getattr(importlib.import_module(home), attr, None)), name
     cls = tracing.coupler_class()
