@@ -11,6 +11,7 @@ cyclically shifted by the delay.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,9 +25,11 @@ QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
 _PRBS_LEN = 2 ** 15 - 1
 
 
-def _build_prbs15_tables():
+@lru_cache(maxsize=1)
+def _prbs15_tables():
     """One full period of the maximal PRBS-15 (x^15 + x^14 + 1) plus a
-    state -> phase lookup; every nonzero state is a phase of one cycle."""
+    state -> phase lookup; every nonzero state is a phase of one cycle.
+    Built on the first prbs15 call, so that importing costs nothing."""
     period = np.empty(_PRBS_LEN, dtype=np.uint8)
     state_pos = {}
     state = 1
@@ -35,19 +38,18 @@ def _build_prbs15_tables():
         fb = ((state >> 14) ^ (state >> 13)) & 1
         state = ((state << 1) | fb) & 0x7FFF
         period[i] = fb
+    period.flags.writeable = False
     return period, state_pos
-
-
-_PRBS_PERIOD, _PRBS_STATE_POS = _build_prbs15_tables()
 
 
 def prbs15(state, n):
     """n bits of the PRBS-15 sequence starting from the given LFSR state."""
     if not 0 < state < 2 ** 15:
         raise ValueError("PRBS-15 state must be a nonzero 15-bit integer")
-    start = _PRBS_STATE_POS[state]
+    period, state_pos = _prbs15_tables()
+    start = state_pos[state]
     reps = -(-(start + n) // _PRBS_LEN)
-    return np.tile(_PRBS_PERIOD, reps)[start : start + n].copy()
+    return np.tile(period, reps)[start : start + n].copy()
 
 
 def qpsk_map(bits):

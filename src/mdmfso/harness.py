@@ -145,8 +145,6 @@ class ExperimentConfig:
                 optics.ModeSpec.lp(label, self.waist)
         except ValueError as exc:
             raise ValueError(f"config {exc}") from None
-        # grid_size is compared, not divided, so that an integer beyond
-        # the float range cannot overflow
         if self.grid_size < _MIN_WAIST_PIXELS * (self.physical_length / self.waist):
             raise ValueError(
                 f"config waist={self.waist!r} spans fewer than {_MIN_WAIST_PIXELS} "

@@ -3,7 +3,10 @@
 Screens are synthesized by drawing complex circular Gaussian Fourier
 coefficients shaped by the modified von Karman spectrum, inverse
 transforming, and augmenting the missing low spatial frequencies with
-3x3 subharmonic grids at spacing 1/(3^p L) per level p.
+3x3 subharmonic grids at spacing 1/(3^p L) per level p. The real parts
+of all subharmonic levels are added to the raster as one real matrix
+product, and each complex draw is scaled into place, its real and
+imaginary parts written from one real buffer.
 
 The synthesis is calibrated so that the ensemble phase power spectral
 density equals 0.023 * r0**(-5/3) * (f^2 + 1/L0^2)**(-11/6)
@@ -57,6 +60,15 @@ class ScreenConfig:
                 f"inner_scale={self.inner_scale!r}, physical_length="
                 f"{self.physical_length!r} and outer_scale={self.outer_scale!r} "
                 "must satisfy 0 < inner_scale < physical_length < outer_scale"
+            )
+        try:
+            pitch_ok = 0.0 < self.pitch < np.inf
+        except OverflowError:  # an integer grid_size beyond the float range
+            pitch_ok = False
+        if not pitch_ok:
+            raise ValueError(
+                f"physical_length={self.physical_length!r} / grid_size={self.grid_size!r} "
+                "must give a positive finite float pitch"
             )
         if self.fried <= 0.0:
             raise ValueError(f"fried={self.fried!r} must be positive")
@@ -233,14 +245,18 @@ def _sampling_correction(grid_size, physical_length, outer_scale, inner_scale, l
 def _complex_draws(rng, shape):
     """Zero-mean unit-variance complex circular Gaussian array.
 
-    Real parts are drawn first, then imaginary parts; writing them into
-    .real/.imag gives the bits of (re + 1j * im) / sqrt(2) without its
-    two complex temporaries.
+    Real parts are drawn first, then imaginary parts, each into one real
+    buffer and written scaled into .real or .imag. numpy divides a
+    complex array by a real scalar as (re + im * 0) * (1 / sqrt(2)), so
+    the scaling by 1 / sqrt(2) gives the bits of (re + 1j * im) / sqrt(2)
+    without its complex temporaries and division.
     """
     c = np.empty(shape, dtype=complex)
-    c.real = rng.standard_normal(shape)
-    c.imag = rng.standard_normal(shape)
-    c /= np.sqrt(2.0)
+    draw = np.empty(shape)
+    scale = 1.0 / np.sqrt(2.0)
+    for part in (c.real, c.imag):
+        rng.standard_normal(out=draw)
+        np.multiply(draw, scale, out=part)
     return c
 
 
@@ -251,7 +267,10 @@ def generate_screen(config):
     the subharmonic sums on pixel-center coordinates x, y in [-L/2, L/2),
     piston removed. The coordinates x_j = (j - N/2) * pitch fold the -L/2
     offset into the level-0 coefficients as the sign exp(-j pi n_int),
-    which _level0 carries in its amplitude.
+    which _level0 carries in its amplitude. The eight (by default)
+    subharmonic levels enter as one real (N, 6 * levels) @ (6 * levels, N)
+    product, the same terms as level-by-level complex products summed in
+    another order; the draws are scaled in place (see _complex_draws).
     """
     n = config.grid_size
     length = config.physical_length
@@ -271,7 +290,12 @@ def generate_screen(config):
     raster *= n
     del c0
 
+    # level p adds Re(ex_p @ c_p @ ex_p.T), with ex_p the (N, 3) pixel
+    # exponentials; with a_p = ex_p @ c_p that real part is
+    # Re a_p @ Re ex_p.T - Im a_p @ Im ex_p.T, so every level adds in one
+    # real (N, 6 * levels) @ (6 * levels, N) product
     coords = (np.arange(n) - n // 2) * config.pitch
+    left, right = [], []
     for level in range(1, config.subharmonic_levels + 1):
         c = vonkarman_coefficients(config, level, _complex_draws(rng, (3, 3)))
         c *= _sampling_correction(
@@ -281,7 +305,11 @@ def generate_screen(config):
         fvals = np.array([-1.0, 0.0, 1.0]) * df
         ex = np.exp(2j * np.pi * np.outer(coords, fvals))  # (N, 3)
         # c rows index fy, columns fx; raster rows are y
-        raster += np.real(ex @ c @ ex.T)
+        a = ex @ c
+        left += [a.real, -a.imag]
+        right += [ex.real, ex.imag]
+    if left:
+        raster += np.hstack(left) @ np.hstack(right).T
 
     raster *= SYNTHESIS_GAIN
     raster -= raster.mean()

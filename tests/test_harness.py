@@ -185,6 +185,8 @@ class TestConfig:
             # LP01 sampled by about one pixel per waist
             {"physical_length": 1.0, "grid_size": 480, "tx_modes": ("LP01",),
              "rx_modes": ("LP01",)},
+            # physical_length / grid_size overflows the float range
+            {"grid_size": 10**400},
         ],
     )
     def test_invalid(self, kwargs):
@@ -605,6 +607,14 @@ class TestMemoryBudget:
     def test_coupler_build(self):
         assert traced_peak_mb(harness.ModalCoupler, ExperimentConfig()) <= 100.0
 
+    def test_generate_screen(self):
+        # the level-0 weights are cached per geometry, so one screen
+        # first; then the peak is the level-0 complex raster and one real
+        # draw buffer
+        cfg = ExperimentConfig().screen_config()
+        screens.generate_screen(cfg)
+        assert traced_peak_mb(screens.generate_screen, replace(cfg, seed=1)) <= 23.0
+
 
 def reference_scores(frame, config, results):
     """decode_stream's accumulators by the per-channel loop, from the
@@ -724,14 +734,14 @@ class TestReportFiles:
 # hold across versions; an intended change re-pins a hash and says why.
 GOLDEN = {
     "gen-screens": {
-        "screen_0000.phs": "190497e65b9f48c92215d0a517c4eca581f65e5dca33b54b3633089fba197f57",
+        "screen_0000.phs": "6ebe224e6e0ee07b05c8fa4b05809c60797c1fa5dd589df1ba246d0ace4b3574",
         "screen_0000.phs.json": "a9ff2403a62fcd411fbdf8e4b7ccd01159989ae8627a17c0911910a0d1650fda",
-        "screen_0001.phs": "de72f099d1deafa9a54fa5ac24d16648e0e7105d241f00155392d241da774e2f",
+        "screen_0001.phs": "97fd092df3f519dc5abedc08d847a332ae91b82eaef1c81b46ab4702d6d215da",
         "screen_0001.phs.json": "6cedc1260411d6f6784f74257c4f37b9f06f3b0f8c5f94dd110fdec73e830c57",
     },
     "stats": {
         "structure_function.csv": "cf064873da040ae6bf97521d976d4f92d8af96a6f2ffdf51c04ac0e0b8cd6517",
-        "scintillation.json": "74c17f209969d0c4a30403dce54c8365e836c1e25b249d0fbe40d3735f70b71e",
+        "scintillation.json": "892bb3412058ced7e19b1da06d602f5888a64cc386dfc4586ded5b15a1622136",
     },
     "monte-carlo": {
         "realizations.csv": "2adcc8f1d536e5ddcb04da1fee1d19146cc14ed43f387da2ba6e93a418ee3d9e",
@@ -898,9 +908,11 @@ class TestCli:
         "data",
         [{"pilot_period": 0}, {"frame_len": 1680}, {"pilot_period": 1}, {"osnr_db": -np.inf},
          {"osnr_db": -4000.0}, {"osnr_grid": [10.0, -4000.0]}, {"grid_size": 0},
-         {"physical_length": 1.0, "tx_modes": ["LP01"], "rx_modes": ["LP01"]}],
+         {"physical_length": 1.0, "tx_modes": ["LP01"], "rx_modes": ["LP01"]},
+         {"grid_size": 10**400}],
         ids=["no_pilot_period", "no_payload", "all_pilots", "minus_inf_osnr",
-             "no_finite_noise", "no_finite_noise_in_grid", "zero_grid", "undersampled_waist"],
+             "no_finite_noise", "no_finite_noise_in_grid", "zero_grid", "undersampled_waist",
+             "grid_beyond_float"],
     )
     def test_unusable_link_exits_1(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
@@ -925,17 +937,24 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "sweep", "monte-carlo", "stats"])
     def test_failed_computation_leaves_no_output(self, tmp_path, capsys, monkeypatch, command):
-        # an error raised while computing, after the config is accepted
-        def fail(*args, **kwargs):
-            raise RuntimeError("computation failed")
+        # an error raised while computing, after the config is accepted,
+        # such as a raster that cannot be allocated
+        errors = [
+            (RuntimeError("computation failed"), "error: computation failed\n"),
+            (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ]
+        for exc, message in errors:
+            def fail(*args, **kwargs):
+                raise exc
 
-        for name in ("run_realization", "sweep_osnr", "monte_carlo", "screen_statistics"):
-            monkeypatch.setattr(harness, name, fail)
-        out = tmp_path / "out"
-        argv = [command, "--out", str(out)] + (["--osnr", "10"] if command == "sweep" else [])
-        assert cli_main(argv) == 1
-        assert capsys.readouterr().err == "error: computation failed\n"
-        assert not out.exists()
+            for name in ("run_realization", "sweep_osnr", "monte_carlo", "screen_statistics"):
+                monkeypatch.setattr(harness, name, fail)
+            out = tmp_path / "out"
+            argv = [command, "--out", str(out)] + (["--osnr", "10"] if command == "sweep" else [])
+            assert cli_main(argv) == 1
+            assert capsys.readouterr().err == message
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep", "monte-carlo"])
     @given(data=RUN_CONFIGS)
@@ -983,17 +1002,19 @@ def test_import_leaves_scipy_unloaded():
     # the runtime needs only numpy: no scipy on import, nor in the paths
     # that once used it (the KS distance, the erfc reference, the unitary
     # channel and the ISI filter); the thread pool is imported only by the
-    # functions that use it, so that importing the package stays cheap
+    # functions that use it, and the PRBS-15 tables are built on first
+    # use, so that importing the package stays cheap
     code = """
 import sys
 import numpy as np
 import mdmfso
-from mdmfso import channel, harness
+from mdmfso import channel, framing, harness
 
 def loaded(*prefixes):
     return sorted(m for m in sys.modules if m.startswith(prefixes))
 
 print(loaded("scipy", "concurrent.futures"))
+print(framing._prbs15_tables.cache_info().currsize)
 harness.power_statistics(np.exp(np.linspace(-1.0, 1.0, 30)))
 harness.theoretical_reference([10.0, np.inf])
 cfg = harness.ExperimentConfig(
@@ -1011,7 +1032,7 @@ print(loaded("scipy"))
         text=True,
         check=True,
     )
-    assert out.stdout.split("\n") == ["[]", "[]", ""]
+    assert out.stdout.split("\n") == ["[]", "0", "[]", ""]
 
 
 def test_only_the_composers_import_mdmfso_modules():

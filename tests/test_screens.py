@@ -65,6 +65,9 @@ class TestConfig:
             {"inner_scale": 0.0},
             {"outer_scale": 1e-3},
             {"subharmonic_levels": -1},
+            # pitches that are not a positive finite float
+            {"grid_size": 10**400},
+            {"physical_length": 1e-320, "inner_scale": 1e-321, "grid_size": 10**6},
         ],
     )
     def test_invalid(self, kwargs):
@@ -209,9 +212,11 @@ def reference_correction(n, length, outer, inner, level):
     return corr
 
 
-def reference_screen(config):
+def reference_terms(config):
     # the synthesis as written before the level-0 weights were cached:
-    # full-raster correction, separate sign flips, complex scaling
+    # full-raster correction, separate sign flips, complex scaling.
+    # Returns the level-0 raster and each subharmonic level's pixel
+    # exponentials ex (N, 3) and coefficients c (3, 3)
     n, length = config.grid_size, config.physical_length
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
@@ -230,14 +235,38 @@ def reference_screen(config):
     sign = np.where(np.round(n_int).astype(int) % 2 == 0, 1.0, -1.0)
     raster = np.real(np.fft.ifft2(c0 * sign[None, :] * sign[:, None]) * n * n)
     coords = (np.arange(n) - n // 2) * config.pitch
+    levels = []
     for level in range(1, config.subharmonic_levels + 1):
         fvals = np.array([-1.0, 0.0, 1.0]) / (3.0 ** level * length)
         c = coefficients(level, *np.meshgrid(fvals, fvals), draws((3, 3)))
-        ex = np.exp(2j * np.pi * np.outer(coords, fvals))
-        raster += np.real(ex @ c @ ex.T)
+        levels.append((np.exp(2j * np.pi * np.outer(coords, fvals)), c))
+    return raster, levels
+
+
+def finished(raster):
     raster *= screens.SYNTHESIS_GAIN
     raster -= raster.mean()
     return raster
+
+
+def reference_screen(config):
+    # every subharmonic level's Re(ex @ c @ ex.T) summed as one real
+    # product [Re a, -Im a] @ [Re ex, Im ex].T, a = ex @ c, the levels'
+    # columns side by side in level order
+    raster, levels = reference_terms(config)
+    if levels:
+        left = [part for ex, c in levels for part in ((ex @ c).real, -(ex @ c).imag)]
+        right = [part for ex, _ in levels for part in (ex.real, ex.imag)]
+        raster += np.hstack(left) @ np.hstack(right).T
+    return finished(raster)
+
+
+def per_level_screen(config):
+    # the subharmonic levels added one complex product at a time
+    raster, levels = reference_terms(config)
+    for ex, c in levels:
+        raster += np.real(ex @ c @ ex.T)
+    return finished(raster)
 
 
 class TestSynthesisReference:
@@ -250,6 +279,17 @@ class TestSynthesisReference:
             raster = generate_screen(cfg).raster
             assert raster.flags.c_contiguous
             assert np.array_equal(raster.view(np.uint64), reference_screen(cfg).view(np.uint64))
+            # the one product only reorders the per-level sums
+            tol = 1e-12 * np.abs(raster).max()
+            assert np.abs(raster - per_level_screen(cfg)).max() <= tol
+
+    @pytest.mark.parametrize("shape", [(3, 3), (16, 16), (960, 960)])
+    def test_complex_draws_bits(self, shape):
+        got = screens._complex_draws(np.random.default_rng(11), shape)
+        rng = np.random.default_rng(11)
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        want = (re + 1j * im) / np.sqrt(2.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_cached_weights_read_only(self):
         generate_screen(SMALL)
