@@ -26,7 +26,6 @@ from .optics import (
 from .framing import Frame, FrameLayout, assemble_frames, mode_delays
 from .channel import IsiConfig, NoiseConfig, PhaseNoiseConfig, osnr_to_n0, propagate, wiener_phase
 from .dsp import (
-    ChannelEstimate,
     DecodeResult,
     cancel_phase,
     equalize,
@@ -52,7 +51,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelEstimate",
     "ChannelMatrix",
     "DecodeResult",
     "ExperimentConfig",

@@ -6,7 +6,9 @@ MMSE or successive-interference-cancellation (SIC) decoding with greedy
 max-SINR ordering.
 
 A leaf module: it imports no other mdmfso module, and every channel
-argument h is a plain (n_r, n_t) array, such as ChannelEstimate.h_hat.
+argument h is a plain (n_r, n_t) array, such as estimate_channel returns.
+A decode returns its soft output and decode order only; hard decisions
+are hard_decision of the soft output.
 """
 
 from dataclasses import dataclass
@@ -20,38 +22,23 @@ TRAINING_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
-class ChannelEstimate:
-    """Least-squares channel estimate with its fit residual power."""
-
-    h_hat: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.h_hat)):
-            raise ValueError("channel estimate contains non-finite entries")
-
-
-@dataclass(frozen=True)
 class DecodeResult:
-    """Soft and hard decoder outputs plus the decode bookkeeping.
+    """A decoder's output.
 
-    soft / hard: (n_t, T); order: transmit channel decode order (SIC) or
-    natural order (MMSE); sinr: per-channel post-detection SINR estimate
-    at the decode stage; regularized: the n0=0 singular guard fired.
+    soft: (n_t, T) soft symbol estimates; order: transmit channel decode
+    order (SIC) or natural order (MMSE).
     """
 
     soft: np.ndarray
-    hard: np.ndarray
     order: tuple
-    sinr: np.ndarray
-    regularized: bool = False
 
 
 def estimate_channel(y_ts, s_ts):
     """Least squares Hhat = Y S^H (S S^H)^-1 over a training block.
 
     y_ts: (n_r, T_ts) received samples; s_ts: (n_t, T_ts) known symbols.
-    Any static receive phase over the block is absorbed into Hhat.
+    Returns the (n_r, n_t) array Hhat; any static receive phase over the
+    block is absorbed into it.
     """
     y_ts = np.asarray(y_ts)
     s_ts = np.asarray(s_ts)
@@ -67,8 +54,9 @@ def estimate_channel(y_ts, s_ts):
             "channels must carry decorrelated training sequences"
         )
     h_hat = np.linalg.solve(gram.conj().T, (y_ts @ s_ts.conj().T).conj().T).conj().T
-    residual = float(np.mean(np.abs(y_ts - h_hat @ s_ts) ** 2))
-    return ChannelEstimate(h_hat=h_hat, residual=residual)
+    if not np.all(np.isfinite(h_hat)):
+        raise ValueError("channel estimate contains non-finite entries")
+    return h_hat
 
 
 def estimate_phase(y, pilot_times, pilot_symbols, h, window=8):
@@ -177,15 +165,14 @@ def _mmse_weights(h, n0):
     """Columns of (H H^H + n0 I)^-1 H, the per-channel MMSE combiners.
 
     Shared by mmse_decode and sic_decode so that the SIC first stage is
-    bit-exactly the MMSE soft output. Returns (weights, regularized).
+    bit-exactly the MMSE soft output. At n0 = 0 a singular H H^H is
+    regularized with n0 = MMSE_REGULARIZATION.
     """
     n_r = h.shape[0]
     gram = h @ h.conj().T
-    regularized = False
     if n0 <= 0 and np.linalg.matrix_rank(gram) < n_r:
         n0 = MMSE_REGULARIZATION
-        regularized = True
-    return np.linalg.solve(gram + n0 * np.eye(n_r), h), regularized
+    return np.linalg.solve(gram + n0 * np.eye(n_r), h)
 
 
 def _post_sinr(w, h):
@@ -215,15 +202,8 @@ def mmse_decode(y, h, n0):
     h = np.asarray(h)
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
-    w, regularized = _mmse_weights(h, n0)
-    soft = w.conj().T @ y
-    return DecodeResult(
-        soft=soft,
-        hard=hard_decision(soft),
-        order=tuple(range(h.shape[1])),
-        sinr=_post_sinr(w, h),
-        regularized=regularized,
-    )
+    w = _mmse_weights(h, n0)
+    return DecodeResult(soft=w.conj().T @ y, order=tuple(range(h.shape[1])))
 
 
 def _sic_stages(h, n0):
@@ -234,20 +214,15 @@ def _sic_stages(h, n0):
     index order, so stage 1 combines against H itself. The decoded
     channel of each stage is the remaining channel of highest
     post-detection SINR (ties to the lowest index). Returns (order,
-    first, w, sinr, regularized): first holds the stage-1 combiners of
-    every channel, w[:, s] is the combiner of stage s, sinr[k] the SINR
-    of channel k at its stage, and regularized tells whether the n0=0
-    singular guard fired at any stage.
+    first, w): first holds the stage-1 combiners of every channel and
+    w[:, s] is the combiner of stage s.
     """
     n_r, n_t = h.shape
     remaining = list(range(n_t))
     picked = []
     w = np.empty((n_r, n_t), dtype=complex)
-    sinr = np.empty(n_t)
-    regularized = False
     for s in range(n_t):
-        w_s, reg = _mmse_weights(h[:, remaining], n0)
-        regularized = regularized or reg
+        w_s = _mmse_weights(h[:, remaining], n0)
         stage_sinr = _post_sinr(w_s, h[:, remaining])
         # argmax returns the first maximum; remaining is kept ascending
         pos = int(np.argmax(stage_sinr))
@@ -256,8 +231,7 @@ def _sic_stages(h, n0):
         if s == 0:
             first = w_s
         w[:, s] = w_s[:, pos]
-        sinr[k] = stage_sinr[pos]
-    return tuple(picked), first, w, sinr, regularized
+    return tuple(picked), first, w
 
 
 def sic_order(h, n0):
@@ -288,7 +262,7 @@ def sic_decode(y, h, n0):
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
     n_t = h.shape[1]
-    order, first, w, sinr, regularized = _sic_stages(h, n0)
+    order, first, w = _sic_stages(h, n0)
 
     # the MMSE soft output, whose row order[0] is stage 1's; the rows of
     # later stages are replaced in turn. hard holds one row per stage.
@@ -300,10 +274,4 @@ def sic_decode(y, h, n0):
     for s in range(1, n_t):
         soft[order[s]] = z[s - 1] - c[s, :s] @ hard[:s]
         hard[s] = hard_decision(soft[order[s]])
-    return DecodeResult(
-        soft=soft,
-        hard=hard[np.argsort(order)],
-        order=order,
-        sinr=sinr,
-        regularized=regularized,
-    )
+    return DecodeResult(soft=soft, order=order)

@@ -136,10 +136,6 @@ class Frame:
     data_mask: np.ndarray
 
     @property
-    def n_channels(self):
-        return self.symbols.shape[0]
-
-    @property
     def n_symbols(self):
         return self.symbols.shape[1]
 

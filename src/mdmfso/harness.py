@@ -4,12 +4,14 @@ Ties the pipeline together (screens -> modal coupling -> framing ->
 channel -> receive DSP), computes link metrics (BER, EVM, outage,
 scintillation index, net spectral efficiency), and emits deterministic
 CSV / JSON reports for single runs, OSNR sweeps and Monte-Carlo
-ensembles. It is the one module that unwraps ChannelMatrix.h,
-Frame.symbols and ChannelEstimate.h_hat into the plain arrays that
-channel and dsp take, and the one that writes report files, through
-write_csv and write_json. ExperimentConfig checks every input where it
-enters, the screen geometry, the mode waist and the pixels that sample
-it included, so that no layer below it sees a config it cannot build.
+ensembles. It is the one module that unwraps ChannelMatrix.h and
+Frame.symbols into the plain arrays that channel and dsp take, and the
+one that writes report files, through write_csv and write_json. A
+report keeps what the program reads of a decode: the bit and soft-symbol
+errors scored from its soft output, and its decode order.
+ExperimentConfig checks every input where it enters, the screen
+geometry, the mode waist and the pixels that sample it included, so
+that no layer below it sees a config it cannot build.
 
 The entry points are run_realization, sweep_osnr, monte_carlo and
 screen_statistics, one per CLI subcommand that computes. Each call
@@ -229,6 +231,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError(
+                "a config must be a JSON object of ExperimentConfig keys, "
+                f"not {type(data).__name__}"
+            )
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -250,9 +257,7 @@ class RunReport:
     evm_pct: tuple
     sic_order: tuple
     outage: bool
-    cond_h: float
     data_bits: int
-    error_free: bool
 
     def __post_init__(self):
         if any(b < 0 or b > 1 for b in self.ber):
@@ -269,6 +274,11 @@ class RunReport:
     @property
     def ber_max(self):
         return float(np.max(self.ber))
+
+    @property
+    def error_free(self):
+        """No bit error on any channel."""
+        return not any(self.ber)
 
     @property
     def ber_bound(self):
@@ -361,8 +371,8 @@ def decode_stream(y, frame, config, n0, h_true=None):
     channel array, which genie-CSI mode decodes with.
 
     Returns per decoder a dict with per-channel bit errors, squared
-    soft errors and data-symbol counts (two bits each), the frame-0 SIC
-    order, and the frame-0 channel conditioning.
+    soft errors and data-symbol counts (two bits each), and the frame-0
+    decode order.
     """
     layout = config.layout
     n_t = config.n_t
@@ -375,7 +385,6 @@ def decode_stream(y, frame, config, n0, h_true=None):
         }
         for d in config.decoders
     }
-    cond = None
     for sl, ts_local, pilot_local in _frame_windows(frame, layout, config.n_frames):
         y_f = y[:, sl]
         pilots = frame.symbols[:, sl][:, pilot_local]
@@ -387,13 +396,11 @@ def decode_stream(y, frame, config, n0, h_true=None):
         else:
             h_hat = dsp.estimate_channel(
                 y_f[:, ts_local], frame.symbols[:, sl][:, ts_local]
-            ).h_hat
+            )
             phase = dsp.estimate_phase(
                 y_f, pilot_local, pilots, h_hat, window=config.pilot_window
             )
             y_c = dsp.cancel_phase(y_f, phase)
-        if cond is None:
-            cond = float(np.linalg.cond(h_hat))
         if config.use_equalizer:
             y_c = dsp.equalize(
                 y_c,
@@ -429,7 +436,7 @@ def decode_stream(y, frame, config, n0, h_true=None):
             acc[name]["syms"] += syms
             # freed before the next decoder allocates its own output
             del res, wrong_im, wrong_re, err2
-    return acc, cond
+    return acc
 
 
 def run_realization(config, realization=0, coupler=None, h=None, frame=None):
@@ -459,7 +466,7 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
     y = channel_mod.propagate(frame.symbols, h.h, phase, noise, isi=isi)
     del phase  # the receiver tracks its own; free the true trajectory
 
-    acc, cond = decode_stream(y, frame, config, n0, h_true=h.h)
+    acc = decode_stream(y, frame, config, n0, h_true=h.h)
     reports = {}
     for name, a in acc.items():
         ber = tuple(a["bit_err"] / (2 * a["syms"]))
@@ -470,11 +477,9 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
             decoder=name,
             ber=ber,
             evm_pct=evm,
-            sic_order=a["order"] if name == "sic" else tuple(range(config.n_t)),
+            sic_order=a["order"],
             outage=bool(avg > config.hd_fec),
-            cond_h=cond,
             data_bits=int(2 * a["syms"].sum()),
-            error_free=bool(a["bit_err"].sum() == 0),
         )
     return reports
 

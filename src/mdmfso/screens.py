@@ -74,6 +74,8 @@ class ScreenConfig:
             raise ValueError(f"fried={self.fried!r} must be positive")
         if self.subharmonic_levels < 0:
             raise ValueError(f"subharmonic_levels={self.subharmonic_levels!r} must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed!r} must be >= 0")
 
     @property
     def pitch(self):

@@ -205,7 +205,7 @@ def test_criterion_06_orthogonal_equivalence():
         y = propagate(s, u, None, NoiseConfig(n0=n0, seed=trial))
         a = dsp.mmse_decode(y, u, n0)
         b = dsp.sic_decode(y, u, n0)
-        assert np.array_equal(a.hard, b.hard)
+        assert np.array_equal(dsp.hard_decision(a.soft), dsp.hard_decision(b.soft))
 
 
 def test_criterion_07_first_stage_equality():
@@ -250,7 +250,7 @@ def test_criterion_09_estimator_sanity():
     h = (rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))) / np.sqrt(20)
     ts = np.stack([balanced_qpsk(k, 1680) for k in range(10)])
     est = dsp.estimate_channel(h @ ts, ts)
-    assert np.max(np.abs(est.h_hat - h)) <= 1e-9
+    assert np.max(np.abs(est - h)) <= 1e-9
 
     total, n_r = 20000, 2
     pilot_times = np.arange(0, total, 10)

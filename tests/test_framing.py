@@ -111,7 +111,6 @@ class TestAssembly:
 
     def test_shape(self, frame):
         assert frame.symbols.shape == (12, 40000)
-        assert frame.n_channels == 12
         small = assemble_frames(LAYOUT, 2, 34, mode_delays(LAYOUT, 1))
         assert small.n_symbols == 680000
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import mdmfso
 from mdmfso import channel, dsp, harness, screens
 from mdmfso.cli import main as cli_main
+from mdmfso.dsp import hard_decision
 from mdmfso.framing import assemble_frames, qpsk_demap
 from mdmfso.harness import (
     ExperimentConfig,
@@ -137,6 +138,14 @@ class TestConfig:
             ExperimentConfig.from_dict({"friedd": 1e-3})
 
     @pytest.mark.parametrize(
+        "data, kind", [(5, "int"), (None, "NoneType"), ([{}], "list"), ("x", "str")]
+    )
+    def test_from_dict_rejects_non_object(self, data, kind):
+        match = f"a config must be a JSON object of ExperimentConfig keys, not {kind}"
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"decoder": "zf"},
@@ -178,6 +187,7 @@ class TestConfig:
             {"outer_scale": 8.832e-3},
             {"physical_length": np.inf},
             {"subharmonic_levels": -1},
+            {"seed": -1},
             {"waist": 0.0},
             {"waist": 1e151},
             {"aperture_diameter": 0.0},
@@ -261,7 +271,7 @@ class TestRunReport:
         base = dict(
             realization=0, decoder="mmse", ber=(1e-3, 3e-3),
             evm_pct=(20.0, 25.0), sic_order=(0, 1), outage=False,
-            cond_h=2.0, data_bits=10000, error_free=False,
+            data_bits=10000,
         )
         base.update(kw)
         return RunReport(**base)
@@ -274,7 +284,9 @@ class TestRunReport:
         assert rep.evm_avg == pytest.approx(22.5)
 
     def test_error_free_bound(self):
-        rep = self._report(ber=(0.0, 0.0), error_free=True)
+        rep = self._report(ber=(0.0, 0.0))
+        assert rep.error_free
+        assert not self._report(ber=(0.0, 1e-4)).error_free
         assert rep.ber_bound == pytest.approx(1e-4)
 
     def test_ber_validation(self):
@@ -431,7 +443,6 @@ class TestPipeline:
         cfg = ExperimentConfig(**FAST, osnr_db=18.0)
         reports = run_realization(cfg)
         assert reports["mmse"].data_bits == reports["sic"].data_bits
-        assert reports["mmse"].cond_h == reports["sic"].cond_h
 
     def test_unitary_channel_orthonormal(self):
         cfg = ExperimentConfig(**FAST, channel_kind="unitary")
@@ -628,7 +639,7 @@ def reference_scores(frame, config, results):
         for name in config.decoders:
             res = next(calls)
             dmask = frame.data_mask[:, sl]
-            dec_bits = qpsk_demap(res.hard)
+            dec_bits = qpsk_demap(hard_decision(res.soft))
             ref_bits = qpsk_demap(frame.symbols[:, sl])
             for ch in range(n_t):
                 m = dmask[ch]
@@ -667,7 +678,7 @@ def test_scoring_matches_per_channel_loop(monkeypatch, thinned):
             return results[-1]
 
         monkeypatch.setattr(dsp, name, recording)
-    acc, _ = decode_stream(y, frame, cfg, n0)
+    acc = decode_stream(y, frame, cfg, n0)
     expected = reference_scores(frame, cfg, results)
     for name in cfg.decoders:
         assert acc[name]["bit_err"].sum() > 0
@@ -923,6 +934,24 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("text", ["5", "null", "[{}]", "[1]", '"x"'])
+    def test_non_object_config_exits_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a config must be a JSON object") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["gen-screens", "run"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, config_file, command):
+        out = tmp_path / "out"
+        argv = [command, "--config", config_file, "--seed", "-1", "--out", str(out)]
+        assert cli_main(argv + (["--count", "1"] if command == "gen-screens" else [])) == 1
+        assert capsys.readouterr().err == "error: config seed=-1 must be >= 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("osnr_db, rc", [(4000.0, 0), (-4000.0, 1)])
     def test_osnr_beyond_float_range(self, tmp_path, capsys, osnr_db, rc):
         # 10 ** 400 overflows a float: a noiseless link, as at +inf; at
@@ -1033,6 +1062,16 @@ print(loaded("scipy"))
         check=True,
     )
     assert out.stdout.split("\n") == ["[]", "0", "[]", ""]
+
+
+def test_public_names_resolve():
+    # every name of __all__ is a package attribute, so that a star-import
+    # of the package succeeds and binds them all
+    missing = [name for name in mdmfso.__all__ if not hasattr(mdmfso, name)]
+    assert missing == []
+    namespace = {}
+    exec("from mdmfso import *", namespace)
+    assert set(mdmfso.__all__) <= set(namespace)
 
 
 def test_only_the_composers_import_mdmfso_modules():
