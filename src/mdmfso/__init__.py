@@ -17,8 +17,6 @@ from .screens import (
     write_screen,
 )
 from .optics import (
-    ChannelMatrix,
-    GridGeometry,
     ModalCoupler,
     ModeSpec,
     polarization_expand,
@@ -45,18 +43,15 @@ from .harness import (
     run_realization,
     scintillation_stats,
     sweep_osnr,
-    theoretical_reference,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelMatrix",
     "DecodeResult",
     "ExperimentConfig",
     "Frame",
     "FrameLayout",
-    "GridGeometry",
     "IsiConfig",
     "ModalCoupler",
     "ModeSpec",
@@ -90,7 +85,6 @@ __all__ = [
     "sic_order",
     "structure_function",
     "sweep_osnr",
-    "theoretical_reference",
     "wiener_phase",
     "write_screen",
 ]

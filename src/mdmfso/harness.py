@@ -4,10 +4,10 @@ Ties the pipeline together (screens -> modal coupling -> framing ->
 channel -> receive DSP), computes link metrics (BER, EVM, outage,
 scintillation index, net spectral efficiency), and emits deterministic
 CSV / JSON reports for single runs, OSNR sweeps and Monte-Carlo
-ensembles. It is the one module that unwraps ChannelMatrix.h and
-Frame.symbols into the plain arrays that channel and dsp take, and the
-one that writes report files, through write_csv and write_json. A
-report keeps what the program reads of a decode: the bit and soft-symbol
+ensembles. The channel is a plain (n_r, n_t) array from optics on;
+harness is the one module that unwraps Frame.symbols for channel and
+dsp, and the one that writes report files, through write_csv and
+write_json. A report keeps what the program reads of a decode: the bit and soft-symbol
 errors scored from its soft output, and its decode order.
 ExperimentConfig checks every input where it enters, the screen
 geometry, the mode waist and the pixels that sample it included, so
@@ -303,7 +303,7 @@ def realization_screen(config, realization):
 
 
 def build_channel(config, realization, coupler=None):
-    """True channel matrix for one realization of the configured kind;
+    """True channel array for one realization of the configured kind;
     a turbulent one couples realization_screen(config, realization)."""
     if config.channel_kind == "unitary":
         rng = np.random.default_rng(
@@ -318,25 +318,12 @@ def build_channel(config, realization, coupler=None):
         q, r = np.linalg.qr(z)
         d = r.diagonal()
         q *= d / abs(d)
-        h = q[:, : config.n_t]
-        return optics.ChannelMatrix(h=h)
+        return q[:, : config.n_t]
     if coupler is None:
         coupler = ModalCoupler(config)
     if config.channel_kind == "blank":
         return coupler.channel_matrix(None)
     return coupler.channel_matrix(realization_screen(config, realization))
-
-
-def theoretical_reference(osnr_grid, baud=channel_mod.DEFAULT_BAUD):
-    """AWGN QPSK reference BER = 0.5 erfc(sqrt(Es/(2 N0))) per OSNR point.
-
-    Under the unitary-submatrix assumption every channel keeps the full
-    per-channel SNR, so the curve is independent of (n_t, n_r).
-    """
-    n0 = np.array([channel_mod.osnr_to_n0(o, baud, 1.0) for o in np.atleast_1d(osnr_grid)])
-    with np.errstate(divide="ignore"):
-        arg = np.sqrt(1.0 / (2.0 * n0))
-    return np.array([0.5 * math.erfc(a) for a in arg])
 
 
 def build_frames(config):
@@ -366,9 +353,10 @@ def _frame_windows(frame, layout, n_frames):
     return windows
 
 
-def decode_stream(y, frame, config, n0, h_true=None):
-    """Frame-by-frame receive DSP over a full stream; h_true is the true
-    channel array, which genie-CSI mode decodes with.
+def decode_stream(y, frame, config, n0, h):
+    """Frame-by-frame receive DSP over a full stream; h is the true
+    (n_r, n_t) channel array, which genie-CSI mode decodes with in place
+    of the estimate.
 
     Returns per decoder a dict with per-channel bit errors, squared
     soft errors and data-symbol counts (two bits each), and the frame-0
@@ -388,10 +376,10 @@ def decode_stream(y, frame, config, n0, h_true=None):
     for sl, ts_local, pilot_local in _frame_windows(frame, layout, config.n_frames):
         y_f = y[:, sl]
         pilots = frame.symbols[:, sl][:, pilot_local]
-        if config.genie_csi and h_true is not None:
+        if config.genie_csi:
             # theoretical-reference mode: known channel, no carrier
             # imperfection, so the tracker would only add self-noise
-            h_hat = h_true
+            h_hat = h
             y_c = y_f
         else:
             h_hat = dsp.estimate_channel(
@@ -444,10 +432,21 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
 
     coupler, h and frame let a caller pass what it built once (see
     build_channel and build_frames); each is built here when None, and
-    the coupler is not used when h is given.
+    the coupler is not used when h is given. A given h must be a finite
+    (config.n_r, config.n_t) array; it and the realization index are
+    checked before anything is drawn.
     """
+    if realization < 0:
+        raise ValueError(f"realization={realization!r} must be >= 0")
     if h is None:
         h = build_channel(config, realization, coupler=coupler)
+    else:
+        h = np.asarray(h)
+        if h.shape != (config.n_r, config.n_t) or not np.all(np.isfinite(h)):
+            raise ValueError(
+                f"realization {realization}: the given channel of shape {h.shape} "
+                f"is not a finite ({config.n_r}, {config.n_t}) array"
+            )
     if frame is None:
         frame = build_frames(config)
     n0 = channel_mod.osnr_to_n0(config.osnr_db, config.baud, 1.0)
@@ -463,10 +462,10 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
     )
     noise = channel_mod.NoiseConfig(n0=n0, seed=_seed(config.seed, 2, realization))
     isi = channel_mod.IsiConfig.normalized(config.isi_taps)
-    y = channel_mod.propagate(frame.symbols, h.h, phase, noise, isi=isi)
+    y = channel_mod.propagate(frame.symbols, h, phase, noise, isi=isi)
     del phase  # the receiver tracks its own; free the true trajectory
 
-    acc = decode_stream(y, frame, config, n0, h_true=h.h)
+    acc = decode_stream(y, frame, config, n0, h)
     reports = {}
     for name, a in acc.items():
         ber = tuple(a["bit_err"] / (2 * a["syms"]))
@@ -552,10 +551,11 @@ def monte_carlo(config, channels=None):
     """Paired Monte-Carlo ensemble of config.realizations independent
     turbulence screens.
 
-    channels optionally supplies realization r's ChannelMatrix as
-    channels[r], for example build_channel(config, r) or a coupling of
-    realization_screen(config, r) made alongside other mode sets'; no
-    coupler is built and no screen is made then.
+    channels optionally supplies realization r's (n_r, n_t) channel
+    array as channels[r], for example build_channel(config, r) or a
+    coupling of realization_screen(config, r) made alongside other mode
+    sets'; no coupler is built and no screen is made then, and
+    run_realization checks each given array before it draws anything.
     """
     count = config.realizations
     if channels is not None and len(channels) < count:

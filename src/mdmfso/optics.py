@@ -13,7 +13,9 @@ rejected. ModalCoupler is the one coupling implementation, built from
 an ExperimentConfig by its one constructor: it evaluates each distinct
 mode once, keeps it only on the aperture's pixels, and reduces each
 screen to one pass over those pixels in real arithmetic.
-LGTerms holds the one LG formula that every mode field is built from.
+LGTerms holds the raster geometry and the one LG formula that every
+mode field is built from. The channel leaves this module as a plain
+(n_r, n_t) complex array.
 """
 
 from dataclasses import dataclass
@@ -42,15 +44,10 @@ RX_MODES = ("LP01", "LP11a", "LP11b", "LP21a", "LP21b", "LP02")
 COUPLING_BLOCK = 16384
 
 
-@dataclass(frozen=True)
-class GridGeometry:
-    """Square raster geometry co-registered with a phase screen."""
-
-    grid_size: int
-    pitch: float
-
-    def coords(self):
-        return (np.arange(self.grid_size) - self.grid_size // 2) * self.pitch
+def _coords(grid_size, pitch):
+    """Pixel-centre coordinates along either axis of a square raster
+    co-registered with a phase screen: pixel grid_size // 2 at 0."""
+    return (np.arange(grid_size) - grid_size // 2) * pitch
 
 
 def _lg_weights(composition):
@@ -99,17 +96,6 @@ class ModeSpec:
             raise ValueError(f"waist={self.waist!r} must lie in (1e-150, 1e150)")
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Polarization-expanded (n_r, n_t) MIMO channel, calibrated."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.h)):
-            raise ValueError("channel matrix contains non-finite entries")
-
-
 def _genlaguerre(n, alpha, x):
     """Generalized Laguerre polynomial L_n^alpha(x) by its three-term recurrence."""
     prev, cur = 0.0, 1.0
@@ -119,7 +105,8 @@ def _genlaguerre(n, alpha, x):
 
 
 class LGTerms:
-    """Laguerre-Gaussian superpositions at the waist plane on a raster.
+    """Laguerre-Gaussian superpositions at the waist plane on a square
+    raster of grid_size pixels and the given pitch, kept as `pitch`.
 
     This is the one LG formula of the module:
 
@@ -136,8 +123,9 @@ class LGTerms:
     for the next field.
     """
 
-    def __init__(self, grid):
-        c = grid.coords()
+    def __init__(self, grid_size, pitch):
+        self.pitch = pitch
+        c = _coords(grid_size, pitch)
         self._x, self._y = c[None, :], c[:, None]
         self._r2 = self._x ** 2 + self._y ** 2
         self._radial = {}
@@ -181,20 +169,19 @@ class LGTerms:
         return sum(parts[1:], parts[0])
 
 
-def mode_field(spec, grid, terms=None):
-    """Evaluate a ModeSpec on the grid; rejects badly clipped waists.
+def mode_field(spec, terms):
+    """Evaluate a ModeSpec on the raster of the LGTerms `terms`, whose
+    cache several fields of that raster share; rejects badly clipped
+    waists.
 
     The analytic fields carry unit continuum energy, so the energy
     captured on the raster measures clipping directly. It is numpy's
     pairwise sum of the squared field, whose bits do not depend on the
-    BLAS thread count as a BLAS dot product's do. `terms` shares an
-    LGTerms cache of the same grid across several fields. The field is
-    a real float64 array (see ModeSpec and LGTerms).
+    BLAS thread count as a BLAS dot product's do. The field is a real
+    float64 array (see ModeSpec and LGTerms).
     """
-    if terms is None:
-        terms = LGTerms(grid)
     field = terms.field(spec.lg_composition, spec.waist)
-    captured = np.add.reduce(np.square(field), axis=None) * grid.pitch ** 2
+    captured = np.add.reduce(np.square(field), axis=None) * terms.pitch ** 2
     if captured < 0.99:
         raise ValueError(
             f"mode {spec.label}: only {captured:.3f} of the energy falls on the "
@@ -226,19 +213,17 @@ class ModalCoupler:
     """
 
     def __init__(self, config):
-        grid = GridGeometry(
-            grid_size=config.grid_size,
-            pitch=config.physical_length / config.grid_size,
-        )
+        n = config.grid_size
+        pitch = config.physical_length / n
         tx = [ModeSpec.lp(m, config.waist) for m in config.tx_modes]
         rx = [ModeSpec.lp(m, config.waist) for m in config.rx_modes]
-        self._shape = (grid.grid_size, grid.grid_size)
+        self._shape = (n, n)
         # the hard circular aperture, co-registered with the screen grid
-        c = grid.coords()
+        c = _coords(n, pitch)
         self._pixels = np.flatnonzero(
             c[None, :] ** 2 + c[:, None] ** 2 <= (config.aperture_diameter / 2.0) ** 2
         )
-        self._pitch2 = grid.pitch ** 2
+        self._pitch2 = pitch ** 2
         # one row per distinct mode, transmit modes first, so that the
         # transmit stack and (when the receive modes are the stack's rows
         # in order, as by default) the receive stack are views of it
@@ -253,8 +238,8 @@ class ModalCoupler:
             factors = {(p, abs(l)) for p, l, _ in spec.lg_composition}, spec.waist
             if factors != uses:
                 terms = None  # freed before the next cache fills
-                terms, uses = LGTerms(grid), factors
-            stack[i] = mode_field(spec, grid, terms).ravel()[self._pixels]
+                terms, uses = LGTerms(n, pitch), factors
+            stack[i] = mode_field(spec, terms).ravel()[self._pixels]
         row = {spec: i for i, spec in enumerate(specs)}
         self._tx = _rows(stack, [row[s] for s in tx])
         self._rx = _rows(stack, [row[s] for s in rx])
@@ -296,11 +281,9 @@ class ModalCoupler:
         return float(np.linalg.norm(m) ** 2 / len(self.calibration_spatial))
 
     def channel_matrix(self, screen=None):
-        """Calibrated polarization-expanded channel; blank when screen is None."""
+        """Calibrated polarization-expanded channel array; blank when screen is None."""
         m = self.blank_coupling if screen is None else self.coupling(screen)
-        return polarization_expand(
-            m, calibration=np.repeat(self.calibration_spatial, 2)
-        )
+        return polarization_expand(m, np.repeat(self.calibration_spatial, 2))
 
 
 def calibrate_columns(h_blank):
@@ -315,15 +298,12 @@ def calibrate_columns(h_blank):
     return norms.min() / norms
 
 
-def polarization_expand(m, calibration=None):
+def polarization_expand(m, calibration):
     """Expand a spatial coupling matrix over X/Y polarizations.
 
-    H = M kron I2 (the same screen modulates both polarizations; no
-    cross-polarization coupling), with optional static column scales.
+    H = (M kron I2) diag(calibration): the same screen modulates both
+    polarizations, with no cross-polarization coupling, and column j
+    takes the static scale calibration[j]. Returns H as an array.
     """
-    m = np.asarray(m)
-    h = np.kron(m, np.eye(2))
-    if calibration is None:
-        calibration = np.ones(h.shape[1])
-    h = h * np.asarray(calibration)[None, :]
-    return ChannelMatrix(h=h)
+    h = np.kron(np.asarray(m), np.eye(2))
+    return h * np.asarray(calibration)[None, :]

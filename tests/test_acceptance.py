@@ -1,20 +1,30 @@
 """End-to-end acceptance suite.
 
-Each test is one acceptance criterion; `pytest -v` therefore prints one
-pass/fail line per criterion. The 120 strong-turbulence realization
-screens that criteria 02, 05 and 08 share are walked once per session,
-and only what each criterion reads of them is kept.
+Each test function is one acceptance criterion; `pytest -v` therefore
+prints one pass/fail line per criterion, and three more for
+TestTheoreticalReference, the checks of the reference curve that
+criterion 04 reads. The 120 strong-turbulence realization screens that
+criteria 02, 05 and 08 share are walked once per session, and only what
+each criterion reads of them is kept.
 """
 
 from dataclasses import replace
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
 from mdmfso import dsp, screens
-from mdmfso.channel import NoiseConfig, PhaseNoiseConfig, propagate, wiener_phase
+from mdmfso.channel import (
+    DEFAULT_BAUD,
+    NoiseConfig,
+    PhaseNoiseConfig,
+    osnr_to_n0,
+    propagate,
+    wiener_phase,
+)
 from mdmfso.cli import main as cli_main
 from mdmfso.framing import QPSK, balanced_qpsk, qpsk_demap
 from mdmfso.harness import (
@@ -24,7 +34,6 @@ from mdmfso.harness import (
     realization_screen,
     scintillation_stats,
     sweep_osnr,
-    theoretical_reference,
 )
 from mdmfso.optics import ModalCoupler
 
@@ -149,6 +158,43 @@ def test_criterion_03_awgn_calibration():
     total_bits = 2 * n_t * chunk * chunks  # 2e7 bits from 1e7 symbols
     ber = bit_errors / total_bits
     assert ber == pytest.approx(7.83e-4, rel=0.15)
+
+
+def theoretical_reference(osnr_grid, baud=DEFAULT_BAUD):
+    """AWGN QPSK reference BER = 0.5 erfc(sqrt(Es/(2 N0))) per OSNR point.
+
+    Under the unitary-submatrix assumption every channel keeps the full
+    per-channel SNR, so the curve is independent of (n_t, n_r).
+    """
+    n0 = np.array([osnr_to_n0(o, baud, 1.0) for o in np.atleast_1d(osnr_grid)])
+    with np.errstate(divide="ignore"):
+        arg = np.sqrt(1.0 / (2.0 * n0))
+    return np.array([0.5 * math.erfc(a) for a in arg])
+
+
+class TestTheoreticalReference:
+    def test_awgn_qpsk_point(self):
+        # OSNR giving Es/N0 = 10 dB (n0 = 0.1): BER = Q(sqrt 10) = 7.827e-4
+        osnr_db = 10.0 * np.log10(34.46e9 / (0.1 * 2 * 12.5e9))
+        ber = theoretical_reference([osnr_db])[0]
+        assert ber == pytest.approx(7.827e-4, rel=1e-3)
+
+    def test_infinite_osnr(self):
+        assert theoretical_reference([np.inf])[0] == 0.0
+
+    def test_matches_scipy_erfc(self):
+        from scipy.special import erfc
+
+        # down to BER 1e-51 at 25 dB; further out scipy's own erfc strays
+        # by more than 1e-14 from the true value (5.7e-14 near 1e-285),
+        # where math.erfc stays within 3e-16
+        grid = np.append(np.linspace(-10.0, 25.0, 71), np.inf)
+        n0 = np.array([osnr_to_n0(o, DEFAULT_BAUD, 1.0) for o in grid])
+        with np.errstate(divide="ignore"):
+            ref = 0.5 * erfc(np.sqrt(1.0 / (2.0 * n0)))
+        ber = theoretical_reference(grid)
+        np.testing.assert_allclose(ber, ref, rtol=1e-14, atol=0)
+        assert ber[-1] == 0.0
 
 
 def test_criterion_04_theoretical_reference():
