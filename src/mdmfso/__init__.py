@@ -22,9 +22,8 @@ from .optics import (
     polarization_expand,
 )
 from .framing import Frame, FrameLayout, assemble_frames, mode_delays
-from .channel import IsiConfig, NoiseConfig, PhaseNoiseConfig, osnr_to_n0, propagate, wiener_phase
+from .channel import osnr_to_n0, propagate, wiener_phase
 from .dsp import (
-    DecodeResult,
     cancel_phase,
     equalize,
     estimate_channel,
@@ -48,16 +47,12 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecodeResult",
     "ExperimentConfig",
     "Frame",
     "FrameLayout",
-    "IsiConfig",
     "ModalCoupler",
     "ModeSpec",
     "MonteCarloSummary",
-    "NoiseConfig",
-    "PhaseNoiseConfig",
     "PhaseScreen",
     "RunReport",
     "ScreenConfig",

@@ -7,11 +7,10 @@ max-SINR ordering.
 
 A leaf module: it imports no other mdmfso module, and every channel
 argument h is a plain (n_r, n_t) array, such as estimate_channel returns.
-A decode returns its soft output and decode order only; hard decisions
-are hard_decision of the soft output.
+mmse_decode returns the (n_t, T) soft output and sic_decode the soft
+output and its decode order; hard decisions are hard_decision of the
+soft output.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +18,6 @@ MMSE_REGULARIZATION = 1e-12
 PHASE_REFERENCE_FLOOR = 1e-6
 # largest conditioning of a training block's Gram matrix S S^H
 TRAINING_COND_LIMIT = 1e8
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """A decoder's output.
-
-    soft: (n_t, T) soft symbol estimates; order: transmit channel decode
-    order (SIC) or natural order (MMSE).
-    """
-
-    soft: np.ndarray
-    order: tuple
 
 
 def estimate_channel(y_ts, s_ts):
@@ -59,7 +46,7 @@ def estimate_channel(y_ts, s_ts):
     return h_hat
 
 
-def estimate_phase(y, pilot_times, pilot_symbols, h, window=8):
+def estimate_phase(y, pilot_times, pilot_symbols, h, window):
     """Pilot-aided (n_r, T) phase trajectories relative to the TS
     reference in the channel estimate h.
 
@@ -126,7 +113,7 @@ def _shift_stack(y, taps):
     return out
 
 
-def equalize(y, h, pilot_times, pilot_symbols, taps=7, step=1e-3):
+def equalize(y, h, pilot_times, pilot_symbols, taps, step):
     """Pilot-driven LMS FIR bank restoring y ~ Hhat s.
 
     The n_r x n_r symbol-spaced bank starts as a center-tap identity and
@@ -197,13 +184,14 @@ def hard_decision(soft):
 
 
 def mmse_decode(y, h, n0):
-    """Linear MMSE decode: shat = [(H H^H + n0 I)^-1 H]^H y."""
+    """Linear MMSE decode: the (n_t, T) soft output
+    shat = [(H H^H + n0 I)^-1 H]^H y."""
     y = np.asarray(y)
     h = np.asarray(h)
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
     w = _mmse_weights(h, n0)
-    return DecodeResult(soft=w.conj().T @ y, order=tuple(range(h.shape[1])))
+    return w.conj().T @ y
 
 
 def _sic_stages(h, n0):
@@ -255,7 +243,8 @@ def sic_decode(y, h, n0):
     the received stream is neither rebuilt nor combined again per stage.
     Stage 1 cancels nothing; its row comes from the full product of the
     stage-1 (MMSE) combiners with y, formed as in mmse_decode, so it
-    equals the MMSE soft output bit for bit.
+    equals the MMSE soft output bit for bit. Returns (soft, order): the
+    (n_t, T) soft output and the decode order of the transmit channels.
     """
     y = np.asarray(y)
     h = np.asarray(h)
@@ -274,4 +263,4 @@ def sic_decode(y, h, n0):
     for s in range(1, n_t):
         soft[order[s]] = z[s - 1] - c[s, :s] @ hard[:s]
         hard[s] = hard_decision(soft[order[s]])
-    return DecodeResult(soft=soft, order=order)
+    return soft, order

@@ -4,11 +4,13 @@ Ties the pipeline together (screens -> modal coupling -> framing ->
 channel -> receive DSP), computes link metrics (BER, EVM, outage,
 scintillation index, net spectral efficiency), and emits deterministic
 CSV / JSON reports for single runs, OSNR sweeps and Monte-Carlo
-ensembles. The channel is a plain (n_r, n_t) array from optics on;
-harness is the one module that unwraps Frame.symbols for channel and
-dsp, and the one that writes report files, through write_csv and
-write_json. A report keeps what the program reads of a decode: the bit and soft-symbol
-errors scored from its soft output, and its decode order.
+ensembles. The channel is a plain (n_r, n_t) array from optics on, and
+channel and dsp take and return plain values: harness hands them the
+config's linewidth, baud, noise variance, seeds and ISI taps, and
+unwraps Frame.symbols for them. It is the one module that writes report
+files, through write_csv and write_json. A report keeps what the
+program reads of a decode: the bit and soft-symbol errors scored from
+its soft output, and its decode order, the natural order for MMSE.
 ExperimentConfig checks every input where it enters, the screen
 geometry, the mode waist and the pixels that sample it included, so
 that no layer below it sees a config it cannot build.
@@ -168,7 +170,7 @@ class ExperimentConfig:
             raise ValueError(f"config baud={self.baud!r} must be positive and finite")
         for osnr in (self.osnr_db, *self.osnr_grid):
             try:
-                channel_mod.osnr_to_n0(osnr, self.baud, 1.0)
+                channel_mod.osnr_to_n0(osnr, self.baud)
             except ValueError as exc:
                 raise ValueError(f"config osnr_db or osnr_grid is {osnr} dB: {exc}") from None
         if self.layout.data_per_frame < 1:
@@ -179,11 +181,12 @@ class ExperimentConfig:
                 f"config frame_len, ts_len, pilot_period and n_frames give {pilots} "
                 "pilots per stream; balanced QPSK needs a multiple of 4"
             )
+        if not 0 <= self.linewidth < np.inf:
+            raise ValueError(f"config linewidth={self.linewidth!r} must be >= 0 and finite")
         try:
-            channel_mod.PhaseNoiseConfig(linewidth=self.linewidth)
-            channel_mod.IsiConfig.normalized(self.isi_taps)
+            channel_mod.unit_energy_taps(self.isi_taps)
         except ValueError as exc:
-            raise ValueError(f"config linewidth or isi_taps: {exc}") from None
+            raise ValueError(f"config isi_taps={self.isi_taps!r}: {exc}") from None
         if self.pilot_window < 1:
             raise ValueError(f"config pilot_window={self.pilot_window!r} must be >= 1")
         if self.equalizer_taps < 1 or self.equalizer_taps % 2 != 1:
@@ -406,24 +409,25 @@ def decode_stream(y, frame, config, n0, h):
         sent_im, sent_re = sent.imag < 0, sent.real < 0
         for name in config.decoders:
             if name == "mmse":
-                res = dsp.mmse_decode(y_c, h_hat, n0)
+                # MMSE decodes every channel at once, in natural order
+                soft, order = dsp.mmse_decode(y_c, h_hat, n0), tuple(range(n_t))
             else:
-                res = dsp.sic_decode(y_c, h_hat, n0)
+                soft, order = dsp.sic_decode(y_c, h_hat, n0)
             if acc[name]["order"] is None:
-                acc[name]["order"] = res.order
+                acc[name]["order"] = order
             # hard_decision sends a component >= 0 to the bit 0 and any
             # other value (NaN too) to 1, so a decoded bit is wrong exactly
             # where (component >= 0) equals the sent bit
-            wrong_im = ((res.soft.imag >= 0) == sent_im) & dmask
-            wrong_re = ((res.soft.real >= 0) == sent_re) & dmask
-            err2 = np.abs(res.soft - sent) ** 2
+            wrong_im = ((soft.imag >= 0) == sent_im) & dmask
+            wrong_re = ((soft.real >= 0) == sent_re) & dmask
+            err2 = np.abs(soft - sent) ** 2
             err2[off_data] = 0.0
             acc[name]["bit_err"] += np.count_nonzero(wrong_im, axis=1)
             acc[name]["bit_err"] += np.count_nonzero(wrong_re, axis=1)
             acc[name]["err2"] += err2.sum(axis=1)
             acc[name]["syms"] += syms
             # freed before the next decoder allocates its own output
-            del res, wrong_im, wrong_re, err2
+            del soft, wrong_im, wrong_re, err2
     return acc
 
 
@@ -449,20 +453,17 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
             )
     if frame is None:
         frame = build_frames(config)
-    n0 = channel_mod.osnr_to_n0(config.osnr_db, config.baud, 1.0)
-    linewidth = 0.0 if config.genie_csi else config.linewidth
+    n0 = channel_mod.osnr_to_n0(config.osnr_db, config.baud)
     phase = channel_mod.wiener_phase(
         frame.n_symbols,
         config.n_r,
-        channel_mod.PhaseNoiseConfig(
-            linewidth=linewidth,
-            baud=config.baud,
-            seed=_seed(config.seed, 1, realization),
-        ),
+        0.0 if config.genie_csi else config.linewidth,
+        config.baud,
+        _seed(config.seed, 1, realization),
     )
-    noise = channel_mod.NoiseConfig(n0=n0, seed=_seed(config.seed, 2, realization))
-    isi = channel_mod.IsiConfig.normalized(config.isi_taps)
-    y = channel_mod.propagate(frame.symbols, h, phase, noise, isi=isi)
+    y = channel_mod.propagate(
+        frame.symbols, h, phase, n0, _seed(config.seed, 2, realization), config.isi_taps
+    )
     del phase  # the receiver tracks its own; free the true trajectory
 
     acc = decode_stream(y, frame, config, n0, h)

@@ -61,6 +61,13 @@ class ScreenConfig:
                 f"{self.physical_length!r} and outer_scale={self.outer_scale!r} "
                 "must satisfy 0 < inner_scale < physical_length < outer_scale"
             )
+        try:  # the spectrum reads 1 / outer_scale**2; inf is the Kolmogorov limit
+            float(self.outer_scale) ** 2
+        except OverflowError:
+            raise ValueError(
+                f"outer_scale={self.outer_scale!r} must be infinite or have a finite "
+                "float square"
+            ) from None
         try:
             pitch_ok = 0.0 < self.pitch < np.inf
         except OverflowError:  # an integer grid_size beyond the float range
@@ -152,13 +159,16 @@ def _amplitude(config, level):
     fx, fy = _frequency_grid(config, level)
     df = 1.0 / (3.0 ** level * config.physical_length)
     f2 = fx ** 2 + fy ** 2
-    return (
-        np.sqrt(0.023)
-        * df
-        * (2.0 / config.fried) ** (5.0 / 6.0)
-        * (f2 + 1.0 / config.outer_scale ** 2) ** (-11.0 / 12.0)
-        * np.exp(-f2 * (2.0 * np.pi * config.inner_scale / 5.92) ** 2 / 2.0)
-    )
+    # at outer_scale = inf the zero-frequency cell, which the caller
+    # zeroes, is infinite
+    with np.errstate(divide="ignore"):
+        return (
+            np.sqrt(0.023)
+            * df
+            * (2.0 / config.fried) ** (5.0 / 6.0)
+            * (f2 + 1.0 / config.outer_scale ** 2) ** (-11.0 / 12.0)
+            * np.exp(-f2 * (2.0 * np.pi * config.inner_scale / 5.92) ** 2 / 2.0)
+        )
 
 
 @lru_cache(maxsize=8)
@@ -235,7 +245,8 @@ def _sampling_correction(grid_size, physical_length, outer_scale, inner_scale, l
         "aqbp,qp->ab", _spectrum_shape(f2, outer_scale, inner_scale) * f2, w2
     )
     fc2 = centers[:, None] ** 2 + centers[None, :] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the origin cell's PSD is infinite or overflows for a large outer scale
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         corr = np.sqrt(
             mean / (_spectrum_shape(fc2, outer_scale, inner_scale) * fc2)
         )

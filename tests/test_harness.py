@@ -104,7 +104,8 @@ _RUN_VALUES = {
     "realizations": st.integers(1, 2),
     "grid_size": st.integers(-2, 3) | st.sampled_from([16, 17, 64]),
     "physical_length": st.floats() | st.sampled_from([1e-4, 8.4e-3, 1.0]),
-    "outer_scale": st.floats() | st.sampled_from([8.832e-3, 1e3]),
+    "outer_scale": st.floats()
+    | st.sampled_from([8.832e-3, 1e3, 1.3407807929942597e+154, np.inf]),
     "inner_scale": st.floats() | st.sampled_from([0.0, 1e-6, 8.832e-3]),
     "subharmonic_levels": st.integers(-2, 3),
     "aperture_diameter": st.floats() | st.sampled_from([0.0, 1e-3, 8.832e-3]),
@@ -196,6 +197,8 @@ class TestConfig:
              "rx_modes": ("LP01",)},
             # physical_length / grid_size overflows the float range
             {"grid_size": 10**400},
+            # the spectrum's 1 / outer_scale**2 overflows the float range
+            {"outer_scale": 1.3407807929942597e+154},
         ],
     )
     def test_invalid(self, kwargs):
@@ -635,7 +638,7 @@ class TestMemoryBudget:
 
 def reference_scores(frame, config, results):
     """decode_stream's accumulators by the per-channel loop, from the
-    decoder results of each frame window in call order."""
+    decoders' soft outputs of each frame window in call order."""
     n_t = config.n_t
     acc = {d: {k: np.zeros(n_t) for k in ("bit_err", "err2", "syms")}
            for d in config.decoders}
@@ -643,14 +646,14 @@ def reference_scores(frame, config, results):
     calls = iter(results)
     for sl, _, _ in windows:
         for name in config.decoders:
-            res = next(calls)
+            soft = next(calls)
             dmask = frame.data_mask[:, sl]
-            dec_bits = qpsk_demap(hard_decision(res.soft))
+            dec_bits = qpsk_demap(hard_decision(soft))
             ref_bits = qpsk_demap(frame.symbols[:, sl])
             for ch in range(n_t):
                 m = dmask[ch]
                 acc[name]["bit_err"][ch] += np.sum(dec_bits[ch][m] != ref_bits[ch][m])
-                err = res.soft[ch][m] - frame.symbols[ch, sl][m]
+                err = soft[ch][m] - frame.symbols[ch, sl][m]
                 acc[name]["err2"][ch] += np.sum(np.abs(err) ** 2)
                 acc[name]["syms"][ch] += m.sum()
     return acc
@@ -675,13 +678,15 @@ def test_scoring_matches_per_channel_loop(monkeypatch, thinned):
     h = (rng.standard_normal((cfg.n_r, cfg.n_t))
          + 1j * rng.standard_normal((cfg.n_r, cfg.n_t))) / np.sqrt(2 * cfg.n_t)
     n0 = 0.15
-    y = channel.propagate(frame.symbols, h, None, channel.NoiseConfig(n0=n0, seed=21))
+    y = channel.propagate(frame.symbols, h, None, n0, 21, (1.0,))
 
     results = []
     for name in ("mmse_decode", "sic_decode"):
         def recording(*args, _decode=getattr(dsp, name), **kwargs):
-            results.append(_decode(*args, **kwargs))
-            return results[-1]
+            out = _decode(*args, **kwargs)
+            # sic_decode returns (soft, order), mmse_decode the soft output
+            results.append(out[0] if isinstance(out, tuple) else out)
+            return out
 
         monkeypatch.setattr(dsp, name, recording)
     acc = decode_stream(y, frame, cfg, n0, h)
@@ -926,10 +931,10 @@ class TestCli:
         [{"pilot_period": 0}, {"frame_len": 1680}, {"pilot_period": 1}, {"osnr_db": -np.inf},
          {"osnr_db": -4000.0}, {"osnr_grid": [10.0, -4000.0]}, {"grid_size": 0},
          {"physical_length": 1.0, "tx_modes": ["LP01"], "rx_modes": ["LP01"]},
-         {"grid_size": 10**400}],
+         {"grid_size": 10**400}, {"outer_scale": 1.3407807929942597e+154}],
         ids=["no_pilot_period", "no_payload", "all_pilots", "minus_inf_osnr",
              "no_finite_noise", "no_finite_noise_in_grid", "zero_grid", "undersampled_waist",
-             "grid_beyond_float"],
+             "grid_beyond_float", "outer_scale_square_beyond_float"],
     )
     def test_unusable_link_exits_1(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
@@ -937,7 +942,7 @@ class TestCli:
         rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "run")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("text", ["5", "null", "[{}]", "[1]", '"x"'])
@@ -1062,8 +1067,7 @@ cfg = harness.ExperimentConfig(
     channel_kind="unitary", tx_modes=("LP01",), rx_modes=("LP01", "LP11a"), n_frames=1
 )
 harness.build_channel(cfg, 0)
-isi = channel.IsiConfig.normalized([0.3, 1.0, 0.2])
-channel.propagate(np.ones((2, 50), complex), np.eye(2), None, None, isi=isi)
+channel.propagate(np.ones((2, 50), complex), np.eye(2), None, 0.0, 0, [0.3, 1.0, 0.2])
 print(loaded("scipy"))
 """
     out = subprocess.run(

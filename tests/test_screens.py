@@ -69,6 +69,8 @@ class TestConfig:
             # pitches that are not a positive finite float
             {"grid_size": 10**400},
             {"physical_length": 1e-320, "inner_scale": 1e-321, "grid_size": 10**6},
+            # 1 / outer_scale**2 overflows the float range
+            {"outer_scale": 1.3407807929942597e+154},
         ],
     )
     def test_invalid(self, kwargs):
