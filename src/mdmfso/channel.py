@@ -11,7 +11,8 @@ the measured OSNR in a 12.5 GHz reference bandwidth.
 
 A leaf module: it imports no other mdmfso module, and every function
 takes plain values: wiener_phase the linewidth, baud and seed of its
-walks, and propagate the transmit streams, the channel, the phase, the
+walks, whose step variance walk_variance checks (for ExperimentConfig
+too), and propagate the transmit streams, the channel, the phase, the
 noise variance and seed, and the FIR taps, which it scales to unit
 energy with unit_energy_taps.
 """
@@ -44,19 +45,33 @@ def osnr_to_n0(osnr_db, baud):
     return n0
 
 
-def wiener_phase(n_symbols, n_rx, linewidth, baud, seed):
-    """Per-receive-channel Wiener phase trajectories, (n_rx, n_symbols).
-
-    phi[t+1] = phi[t] + delta with delta ~ N(0, 2 pi linewidth / baud) and
-    phi[0] = 0, one independent walk per receive channel, drawn from
-    seed. The linewidth must be >= 0 and finite, the baud positive.
-    """
+def walk_variance(linewidth, baud):
+    """The variance 2 pi linewidth / baud of one Wiener phase step. The
+    linewidth must be >= 0 and finite, the baud positive, and the
+    variance finite; a zero linewidth gives 0 at any baud."""
     if not 0 <= linewidth < np.inf:
         raise ValueError(f"linewidth={linewidth!r} must be >= 0 and finite")
     if baud <= 0:
         raise ValueError("baud must be positive")
+    with np.errstate(over="ignore"):  # an infinite variance is rejected below
+        variance = 2.0 * np.pi * linewidth / baud
+    if not variance < np.inf:
+        raise ValueError(
+            f"baud={baud!r} gives linewidth={linewidth!r} an infinite phase walk "
+            "variance 2 pi linewidth / baud"
+        )
+    return variance
+
+
+def wiener_phase(n_symbols, n_rx, linewidth, baud, seed):
+    """Per-receive-channel Wiener phase trajectories, (n_rx, n_symbols).
+
+    phi[t+1] = phi[t] + delta with delta ~ N(0, walk_variance(linewidth,
+    baud)) and phi[0] = 0, one independent walk per receive channel,
+    drawn from seed.
+    """
+    sigma = np.sqrt(walk_variance(linewidth, baud))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sigma = np.sqrt(2.0 * np.pi * linewidth / baud)
     # scaled and summed in place, one row at a time: the bits of
     # np.cumsum(sigma * draws, axis=1) without its two temporaries
     phi = rng.standard_normal((n_rx, n_symbols))

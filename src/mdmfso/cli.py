@@ -7,7 +7,7 @@ diagnostic on any module error. Each subcommand but gen-screens is one
 harness call (screen_statistics, run_realization, sweep_osnr or
 monte_carlo), whose results it writes to --out and prints; it creates
 --out only once that call has succeeded. gen-screens writes its screens
-as screens.iter_screens streams them.
+as screens.iter_screens streams them, and creates --out with the first.
 """
 
 import argparse
@@ -44,8 +44,9 @@ def _add_common(parser):
 def cmd_gen_screens(args):
     cfg = _load_config(args)
     ensemble = screens.iter_screens(cfg.screen_config(), args.count)
-    os.makedirs(args.out, exist_ok=True)
     for i, (member, screen) in enumerate(ensemble):
+        # --out is made once the first screen exists
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"screen_{i:04d}.phs")
         screens.write_screen(path, screen, member)
     print(f"wrote {args.count} screens to {args.out}")

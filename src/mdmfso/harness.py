@@ -181,8 +181,10 @@ class ExperimentConfig:
                 f"config frame_len, ts_len, pilot_period and n_frames give {pilots} "
                 "pilots per stream; balanced QPSK needs a multiple of 4"
             )
-        if not 0 <= self.linewidth < np.inf:
-            raise ValueError(f"config linewidth={self.linewidth!r} must be >= 0 and finite")
+        try:
+            channel_mod.walk_variance(self.linewidth, self.baud)
+        except ValueError as exc:
+            raise ValueError(f"config {exc}") from None
         try:
             channel_mod.unit_energy_taps(self.isi_taps)
         except ValueError as exc:
@@ -488,7 +490,9 @@ def sweep_osnr(config):
     """BER vs OSNR on a fixed channel; noise is re-drawn per grid point.
 
     Returns a list of row dicts (osnr_db, decoder, ber_avg/min/max,
-    outage) sorted by OSNR then decoder.
+    outage), one per grid point and decoder: the grid points in the
+    order of config.osnr_grid, as given, and within each the decoders in
+    the order of config.decoders (mmse before sic).
     """
     if not config.osnr_grid:
         raise ValueError("osnr_grid must be nonempty for a sweep")

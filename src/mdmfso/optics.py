@@ -11,11 +11,12 @@ Every mode field is real: a ModeSpec is accepted only when its LG
 weights make it so, as for every LP mode, and a bare LG (OAM) mode is
 rejected. ModalCoupler is the one coupling implementation, built from
 an ExperimentConfig by its one constructor: it evaluates each distinct
-mode once, keeps it only on the aperture's pixels, and reduces each
-screen to one pass over those pixels in real arithmetic.
-LGTerms holds the raster geometry and the one LG formula that every
-mode field is built from. The channel leaves this module as a plain
-(n_r, n_t) complex array.
+mode once, in bands of raster rows, keeps it only on the aperture's
+pixels, and reduces each screen to one pass over those pixels in real
+arithmetic. LGTerms holds the raster geometry and the one LG formula
+that every mode field is built from, and mode_field is the one field
+path. The channel leaves this module as a plain (n_r, n_t) complex
+array.
 """
 
 from dataclasses import dataclass
@@ -42,6 +43,8 @@ RX_MODES = ("LP01", "LP11a", "LP11b", "LP21a", "LP21b", "LP02")
 
 # aperture pixels per block of ModalCoupler.coupling
 COUPLING_BLOCK = 16384
+# raster rows per band of mode_field, whose temporaries then stay small
+FIELD_BAND = 32
 
 
 def _coords(grid_size, pitch):
@@ -106,7 +109,8 @@ def _genlaguerre(n, alpha, x):
 
 class LGTerms:
     """Laguerre-Gaussian superpositions at the waist plane on a square
-    raster of grid_size pixels and the given pitch, kept as `pitch`.
+    raster of grid_size pixels and the given pitch, kept as `pitch`, with
+    the pixel-centre coordinates along either axis kept as `coords`.
 
     This is the one LG formula of the module:
 
@@ -118,76 +122,72 @@ class LGTerms:
     and stays finite on the axis. The terms of one (p, m > 0) have the
     weights a and conj(a) (see ModeSpec) and combine as
     a Z^m + conj(a Z^m) = 2 Re(a) Re Z^m - 2 Im(a) Im Z^m, so every field
-    is formed in real arithmetic and comes out real-valued. Each radial
-    factor and each azimuthal power is evaluated once per waist and kept
-    for the next field.
+    is formed in real arithmetic and comes out real-valued. A field is
+    evaluated on a band of raster rows; every value is an elementwise
+    function of its pixel's coordinates, so a band holds the bits of the
+    same rows of the whole raster.
     """
 
     def __init__(self, grid_size, pitch):
         self.pitch = pitch
-        c = _coords(grid_size, pitch)
-        self._x, self._y = c[None, :], c[:, None]
-        self._r2 = self._x ** 2 + self._y ** 2
-        self._radial = {}
-        self._azimuth = {}
+        self.coords = _coords(grid_size, pitch)
 
-    def radial(self, p, m, waist):
-        """A_pm L_p^m(2 r^2 / w^2) e^{-r^2 / w^2} on the raster."""
-        key = (p, m, waist)
-        if key not in self._radial:
-            u = (2.0 / waist ** 2) * self._r2
-            amp = np.sqrt(2.0 * factorial(p) / (np.pi * factorial(p + m))) / waist
-            self._radial[key] = amp * _genlaguerre(p, m, u) * np.exp(-0.5 * u)
-        return self._radial[key]
-
-    def azimuth(self, m, waist):
-        """(Re Z^m, Im Z^m) on the raster, by Z^m = Z^(m-1) Z."""
-        key = (m, waist)
-        if key not in self._azimuth:
-            re, im = (_SQ2 / waist) * self._x, (_SQ2 / waist) * self._y
-            if m > 1:
-                re_prev, im_prev = self.azimuth(m - 1, waist)
-                re, im = re_prev * re - im_prev * im, re_prev * im + im_prev * re
-            self._azimuth[key] = re, im
-        return self._azimuth[key]
-
-    def field(self, composition, waist):
+    def field(self, composition, waist, rows):
         """sum(weight * LG(p, l)) over (p, l, weight) in the composition of
-        an accepted ModeSpec, as a real array."""
+        an accepted ModeSpec, on the raster rows of the slice `rows`, as a
+        real (rows, grid_size) array."""
+        x, y = self.coords[None, :], self.coords[rows, None]
+        u = (2.0 / waist ** 2) * (x ** 2 + y ** 2)
         weights = _lg_weights(composition)
         parts = []
         for p, m in dict.fromkeys((p, abs(l)) for p, l in weights):
             a = complex(weights.get((p, m), 0))
-            radial = self.radial(p, m, waist)
+            amp = np.sqrt(2.0 * factorial(p) / (np.pi * factorial(p + m))) / waist
+            radial = amp * _genlaguerre(p, m, u) * np.exp(-0.5 * u)
             if m == 0:
                 parts.append(a.real * radial)
                 continue
-            re, im = self.azimuth(m, waist)
+            # (Re Z^m, Im Z^m) by Z^m = Z^(m-1) Z
+            re_z, im_z = (_SQ2 / waist) * x, (_SQ2 / waist) * y
+            re, im = re_z, im_z
+            for _ in range(m - 1):
+                re, im = re * re_z - im * im_z, re * im_z + im * re_z
             for coeff, part in ((2 * a.real, re), (-2 * a.imag, im)):
                 if coeff != 0:
                     parts.append(coeff * part * radial)
         return sum(parts[1:], parts[0])
 
 
-def mode_field(spec, terms):
-    """Evaluate a ModeSpec on the raster of the LGTerms `terms`, whose
-    cache several fields of that raster share; rejects badly clipped
-    waists.
+def mode_field(spec, terms, pixels, out):
+    """Write a ModeSpec's field, normalized over the whole raster of the
+    LGTerms `terms`, at the flat raster indices `pixels` (ascending) into
+    the float64 array `out`, and return it; rejects badly clipped waists.
 
-    The analytic fields carry unit continuum energy, so the energy
-    captured on the raster measures clipping directly. It is numpy's
-    pairwise sum of the squared field, whose bits do not depend on the
-    BLAS thread count as a BLAS dot product's do. The field is a real
-    float64 array (see ModeSpec and LGTerms).
+    The raster is evaluated FIELD_BAND rows at a time. Each band's values
+    at `pixels` go straight into `out`, and its squares into one
+    raster-sized buffer. The analytic fields carry unit continuum energy,
+    so the energy captured on the raster measures clipping directly. It
+    is numpy's pairwise sum of that buffer, the sum of the squared whole
+    field in the same order, whose bits do not depend on the BLAS thread
+    count as a BLAS dot product's do. The field is real (see ModeSpec and
+    LGTerms).
     """
-    field = terms.field(spec.lg_composition, spec.waist)
-    captured = np.add.reduce(np.square(field), axis=None) * terms.pitch ** 2
+    n = terms.coords.size
+    squares = np.empty((n, n))
+    for top in range(0, n, FIELD_BAND):
+        rows = slice(top, top + FIELD_BAND)
+        band = terms.field(spec.lg_composition, spec.waist, rows)
+        np.square(band, out=squares[rows])
+        lo, hi = np.searchsorted(pixels, (top * n, min(top + FIELD_BAND, n) * n))
+        out[lo:hi] = band.ravel()[pixels[lo:hi] - top * n]
+    captured = np.add.reduce(squares, axis=None) * terms.pitch ** 2
     if captured < 0.99:
         raise ValueError(
             f"mode {spec.label}: only {captured:.3f} of the energy falls on the "
             "raster; waist too large for the grid"
         )
-    return field / np.sqrt(captured)
+    out /= np.sqrt(captured)
+    return out
 
 
 def _rows(stack, index):
@@ -201,13 +201,13 @@ class ModalCoupler:
     """Modal coupling M_kl = <psi_k_rx | A e^{j phi} psi_l_tx> per screen.
 
     Each distinct mode of the transmit and receive sets is evaluated
-    once (consecutive modes built from the same LG factors share them,
-    see LGTerms), normalized over the full raster, and kept only on the
-    aperture's pixels, where the receive side is nonzero, in one float64
-    stack that the transmit and receive sides view. A coupling then
-    exponentiates the screen and sums only over those pixels; mode
-    fields are real (see ModeSpec), so <psi_rx| needs no conjugate and
-    the sums run in real arithmetic.
+    once by mode_field, band by band of raster rows, normalized over the
+    full raster, and written only at the aperture's pixels, where the
+    receive side is nonzero, into its row of one float64 stack that the
+    transmit and receive sides view; no whole-raster field is held. A
+    coupling then exponentiates the screen and sums only over those
+    pixels; mode fields are real (see ModeSpec), so <psi_rx| needs no
+    conjugate and the sums run in real arithmetic.
     The one constructor reads the grid, aperture, waist and mode labels
     of an ExperimentConfig, which has checked them.
     """
@@ -218,8 +218,9 @@ class ModalCoupler:
         tx = [ModeSpec.lp(m, config.waist) for m in config.tx_modes]
         rx = [ModeSpec.lp(m, config.waist) for m in config.rx_modes]
         self._shape = (n, n)
+        terms = LGTerms(n, pitch)
         # the hard circular aperture, co-registered with the screen grid
-        c = _coords(n, pitch)
+        c = terms.coords
         self._pixels = np.flatnonzero(
             c[None, :] ** 2 + c[:, None] ** 2 <= (config.aperture_diameter / 2.0) ** 2
         )
@@ -230,16 +231,8 @@ class ModalCoupler:
         # rather than copies
         specs = list(dict.fromkeys(tx + rx))
         stack = np.empty((len(specs), self._pixels.size))
-        terms, uses = None, None
-        for i, spec in enumerate(specs):
-            # consecutive modes built from the same LG factors (LP11a/b,
-            # LP21a/b) share one cache, dropped once the next mode needs
-            # other factors
-            factors = {(p, abs(l)) for p, l, _ in spec.lg_composition}, spec.waist
-            if factors != uses:
-                terms = None  # freed before the next cache fills
-                terms, uses = LGTerms(n, pitch), factors
-            stack[i] = mode_field(spec, terms).ravel()[self._pixels]
+        for spec, field in zip(specs, stack):
+            mode_field(spec, terms, self._pixels, field)
         row = {spec: i for i, spec in enumerate(specs)}
         self._tx = _rows(stack, [row[s] for s in tx])
         self._rx = _rows(stack, [row[s] for s in rx])

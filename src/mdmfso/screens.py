@@ -79,8 +79,24 @@ class ScreenConfig:
             )
         if self.fried <= 0.0:
             raise ValueError(f"fried={self.fried!r} must be positive")
+        try:  # the Kolmogorov structure function across the raster
+            d_raster = 6.88 * (float(self.physical_length) / float(self.fried)) ** (5.0 / 3.0)
+        except OverflowError:
+            d_raster = np.inf
+        if not d_raster < np.inf:
+            raise ValueError(
+                f"fried={self.fried!r} must leave the structure function across the "
+                "raster, 6.88 (physical_length / fried)**(5/3), a finite float"
+            )
         if self.subharmonic_levels < 0:
             raise ValueError(f"subharmonic_levels={self.subharmonic_levels!r} must be >= 0")
+        try:  # level p's frequency spacing is 1 / (3**p physical_length)
+            3.0 ** int(self.subharmonic_levels)
+        except OverflowError:
+            raise ValueError(
+                f"subharmonic_levels={self.subharmonic_levels!r} must leave "
+                "3.0 ** subharmonic_levels a finite float"
+            ) from None
         if self.seed < 0:
             raise ValueError(f"seed={self.seed!r} must be >= 0")
 

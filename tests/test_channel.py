@@ -67,14 +67,20 @@ class TestWienerPhase:
         assert inc.var() == pytest.approx(expect, rel=0.1)
 
     def test_zero_linewidth(self):
-        phi = wiener_phase(50, 2, 0.0, DEFAULT_BAUD, 0)
-        np.testing.assert_array_equal(phi, 0.0)
+        # at any baud, a subnormal one included
+        for baud in (DEFAULT_BAUD, 2.225073858507203e-309):
+            phi = wiener_phase(50, 2, 0.0, baud, 0)
+            np.testing.assert_array_equal(phi, 0.0)
 
     def test_validation(self):
         for linewidth, baud, match in [
             (-1.0, DEFAULT_BAUD, "linewidth=-1.0 must be >= 0 and finite"),
             (np.inf, DEFAULT_BAUD, "linewidth=inf must be >= 0 and finite"),
             (1e5, 0.0, "baud must be positive"),
+            # 2 pi linewidth / baud overflows the float range
+            (1e5, 2.225073858507203e-309, "baud=2.225073858507203e-309 gives linewidth=100000.0"),
+            (1e5, np.float64(2.225073858507203e-309), "an infinite phase walk variance"),
+            (1e308, DEFAULT_BAUD, "an infinite phase walk variance"),
         ]:
             with pytest.raises(ValueError, match=match):
                 wiener_phase(10, 1, linewidth, baud, 0)

@@ -86,8 +86,8 @@ _RUN_VALUES = {
     "channel_kind": st.sampled_from(["turbulent", "blank", "unitary", "fog"]),
     "genie_csi": st.booleans(),
     "linewidth": st.floats() | st.sampled_from([0.0, 1e9]),
-    "baud": st.floats() | st.sampled_from([1.0, 1e12]),
-    "fried": st.floats() | st.sampled_from([1e-5, 1.0]),
+    "baud": st.floats() | st.sampled_from([1.0, 1e12, 2.225073858507203e-309]),
+    "fried": st.floats() | st.sampled_from([1e-5, 1.0, 2.225073858507203e-309]),
     "waist": st.floats() | st.sampled_from([1e-6, 1e-2]),
     "tx_modes": st.lists(_MODE_LABELS, max_size=4),
     "rx_modes": st.lists(_MODE_LABELS, max_size=5),
@@ -107,7 +107,7 @@ _RUN_VALUES = {
     "outer_scale": st.floats()
     | st.sampled_from([8.832e-3, 1e3, 1.3407807929942597e+154, np.inf]),
     "inner_scale": st.floats() | st.sampled_from([0.0, 1e-6, 8.832e-3]),
-    "subharmonic_levels": st.integers(-2, 3),
+    "subharmonic_levels": st.integers(-2, 3) | st.just(647),
     "aperture_diameter": st.floats() | st.sampled_from([0.0, 1e-3, 8.832e-3]),
 }
 RUN_CONFIGS = st.sets(st.sampled_from(sorted(_RUN_VALUES)), max_size=4).flatmap(
@@ -199,6 +199,13 @@ class TestConfig:
             {"grid_size": 10**400},
             # the spectrum's 1 / outer_scale**2 overflows the float range
             {"outer_scale": 1.3407807929942597e+154},
+            # the structure function across the raster overflows
+            {"fried": 2.225073858507203e-309},
+            {"fried": 1e-200},
+            # the phase walk variance 2 pi linewidth / baud overflows
+            {"baud": 2.225073858507203e-309},
+            # 3.0 ** subharmonic_levels overflows
+            {"subharmonic_levels": 647},
         ],
     )
     def test_invalid(self, kwargs):
@@ -223,6 +230,12 @@ class TestConfig:
                 {"frame_len": 1700, "n_frames": 1},
                 "frame_len, ts_len, pilot_period and n_frames give 2 pilots per stream",
             ),
+            (
+                {"baud": 2.225073858507203e-309},
+                "baud=2.225073858507203e-309 gives linewidth=100000.0 an infinite phase walk",
+            ),
+            ({"fried": 1e-200}, "fried=1e-200 must leave the structure function across"),
+            ({"subharmonic_levels": 647}, "subharmonic_levels=647 must leave 3.0 \\*\\* sub"),
         ],
     )
     def test_unusable_link_rejected(self, kwargs, match):
@@ -248,6 +261,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="config aperture_diameter"):
             ExperimentConfig(physical_length=8e-3)
         assert ExperimentConfig(aperture_diameter=8.832e-3).aperture_diameter == 8.832e-3
+
+    def test_zero_linewidth_valid_at_any_baud(self):
+        cfg = ExperimentConfig(linewidth=0.0, baud=2.225073858507203e-309)
+        assert cfg.baud == 2.225073858507203e-309
 
     def test_infinite_osnr_valid(self):
         assert ExperimentConfig(osnr_db=float("inf")).osnr_db == float("inf")
@@ -527,6 +544,14 @@ class TestPipeline:
         with pytest.raises(ValueError, match="osnr_grid"):
             sweep_osnr(ExperimentConfig(**FAST))
 
+    def test_sweep_rows_follow_the_grid(self):
+        # grid order as given, then the decoders in config order
+        cfg = ExperimentConfig(**FAST, channel_kind="unitary", osnr_grid=(20.0, 16.0))
+        rows = sweep_osnr(cfg)
+        assert [(r["osnr_db"], r["decoder"]) for r in rows] == [
+            (20.0, "mmse"), (20.0, "sic"), (16.0, "mmse"), (16.0, "sic")
+        ]
+
     def test_sweep_monotone_reference(self):
         cfg = ExperimentConfig(
             **FAST, channel_kind="unitary", genie_csi=True,
@@ -625,7 +650,16 @@ class TestMemoryBudget:
         assert traced_peak_mb(run_realization, cfg, 0, h=h, frame=frame) <= 40.0
 
     def test_coupler_build(self):
-        assert traced_peak_mb(harness.ModalCoupler, ExperimentConfig()) <= 100.0
+        # the aperture stack and pixel indices (about 37 MB) and one
+        # raster of squared field values; no whole-raster field
+        assert traced_peak_mb(harness.ModalCoupler, ExperimentConfig()) <= 52.0
+
+    def test_build_channel(self):
+        # the level-0 weights are cached per geometry, so one screen
+        # first; then the peak is the coupler's stack under a screen
+        cfg = ExperimentConfig()
+        screens.generate_screen(cfg.screen_config())
+        assert traced_peak_mb(build_channel, cfg, 0) <= 62.0
 
     def test_generate_screen(self):
         # the level-0 weights are cached per geometry, so one screen
@@ -927,23 +961,30 @@ class TestCli:
         assert not (tmp_path / "mc").exists()
 
     @pytest.mark.parametrize(
-        "data",
-        [{"pilot_period": 0}, {"frame_len": 1680}, {"pilot_period": 1}, {"osnr_db": -np.inf},
-         {"osnr_db": -4000.0}, {"osnr_grid": [10.0, -4000.0]}, {"grid_size": 0},
-         {"physical_length": 1.0, "tx_modes": ["LP01"], "rx_modes": ["LP01"]},
-         {"grid_size": 10**400}, {"outer_scale": 1.3407807929942597e+154}],
+        "command, data",
+        [("run", {"pilot_period": 0}), ("run", {"frame_len": 1680}), ("run", {"pilot_period": 1}),
+         ("run", {"osnr_db": -np.inf}), ("run", {"osnr_db": -4000.0}),
+         ("run", {"osnr_grid": [10.0, -4000.0]}), ("run", {"grid_size": 0}),
+         ("run", {"physical_length": 1.0, "tx_modes": ["LP01"], "rx_modes": ["LP01"]}),
+         ("run", {"grid_size": 10**400}), ("run", {"outer_scale": 1.3407807929942597e+154}),
+         ("run", {"fried": 2.225073858507203e-309}), ("run", {"baud": 2.225073858507203e-309}),
+         ("stats", {"fried": 1e-200}), ("run", {"subharmonic_levels": 647}),
+         ("stats", {"subharmonic_levels": 647}), ("gen-screens", {"subharmonic_levels": 647})],
         ids=["no_pilot_period", "no_payload", "all_pilots", "minus_inf_osnr",
              "no_finite_noise", "no_finite_noise_in_grid", "zero_grid", "undersampled_waist",
-             "grid_beyond_float", "outer_scale_square_beyond_float"],
+             "grid_beyond_float", "outer_scale_square_beyond_float",
+             "subnormal_fried", "subnormal_baud", "stats_structure_function_beyond_float",
+             "levels_beyond_float", "stats_levels_beyond_float",
+             "gen_screens_levels_beyond_float"],
     )
-    def test_unusable_link_exits_1(self, tmp_path, capsys, data):
+    def test_unusable_link_exits_1(self, tmp_path, capsys, command, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**FAST, **data}))
-        rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "run")])
+        rc = cli_main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["5", "null", "[{}]", "[1]", '"x"'])
     def test_non_object_config_exits_1(self, tmp_path, capsys, text):
@@ -982,10 +1023,11 @@ class TestCli:
         if rc:
             assert err.startswith("error: ") and "no finite noise variance" in err
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "monte-carlo", "stats"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "monte-carlo", "stats", "gen-screens"])
     def test_failed_computation_leaves_no_output(self, tmp_path, capsys, monkeypatch, command):
         # an error raised while computing, after the config is accepted,
-        # such as a raster that cannot be allocated
+        # such as a raster that cannot be allocated; gen-screens fails in
+        # its first screen
         errors = [
             (RuntimeError("computation failed"), "error: computation failed\n"),
             (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB\n"),
@@ -997,6 +1039,7 @@ class TestCli:
 
             for name in ("run_realization", "sweep_osnr", "monte_carlo", "screen_statistics"):
                 monkeypatch.setattr(harness, name, fail)
+            monkeypatch.setattr(screens, "generate_screen", fail)
             out = tmp_path / "out"
             argv = [command, "--out", str(out)] + (["--osnr", "10"] if command == "sweep" else [])
             assert cli_main(argv) == 1
@@ -1037,6 +1080,15 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_python_m_mdmfso_prints_usage(self):
+        # the package runs as `python -m mdmfso` from a checkout
+        done = subprocess.run(
+            [sys.executable, "-m", "mdmfso", "--help"],
+            env=package_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: mdmfso ")
 
     def test_bad_config_returns_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -1122,10 +1174,10 @@ def test_public_names_are_read_by_the_program():
 
 def test_only_the_composers_import_mdmfso_modules():
     # screens, optics, framing, channel and dsp are leaves; harness
-    # composes them, and cli and the package __init__ sit on top. The cli
-    # makes one harness call per subcommand, so it reaches below harness
-    # only for the screen stream and file format of gen-screens and the
-    # Kolmogorov reference of stats
+    # composes them, and cli and the package __init__ sit on top, with
+    # __main__ running the cli. The cli makes one harness call per
+    # subcommand, so it reaches below harness only for the screen stream
+    # and file format of gen-screens and the Kolmogorov reference of stats
     package = os.path.dirname(mdmfso.__file__)
     modules = {name for name in os.listdir(package) if name.endswith(".py")}
     assert {"screens.py", "optics.py", "framing.py", "channel.py", "dsp.py"} <= modules
@@ -1150,9 +1202,10 @@ def test_only_the_composers_import_mdmfso_modules():
                     found.add(rest.partition(".")[0])
         imported[name] = found
     assert {name for name, found in imported.items() if found} == {
-        "__init__.py", "cli.py", "harness.py"
+        "__init__.py", "__main__.py", "cli.py", "harness.py"
     }
     assert imported["cli.py"] == {"harness", "screens"}
+    assert imported["__main__.py"] == {"cli"}
 
 
 def _perfbench(name):

@@ -33,6 +33,13 @@ def aperture_mask(n, pitch, diameter=8.4e-3):
     return (c[None, :] ** 2 + c[:, None] ** 2 <= (diameter / 2.0) ** 2).astype(float)
 
 
+def raster_field(spec, n=N, pitch=PITCH):
+    """mode_field of spec at every pixel of the n-pixel raster, as an
+    (n, n) array."""
+    everywhere = np.arange(n * n)
+    return mode_field(spec, LGTerms(n, pitch), everywhere, np.empty(n * n)).reshape(n, n)
+
+
 def blank_screen(value=0.0):
     return PhaseScreen(raster=np.full((N, N), value), pitch=PITCH)
 
@@ -67,9 +74,7 @@ class TestModeSpec:
         half = 0.5 / np.sqrt(2.0)
         split = ModeSpec(label="y", lg_composition=((0, 1, half), (0, -1, 2 * half), (0, 1, half)))
         whole = ModeSpec.lp("LP11a")
-        np.testing.assert_allclose(
-            mode_field(split, LGTerms(N, PITCH)), mode_field(whole, LGTerms(N, PITCH)), atol=1e-12
-        )
+        np.testing.assert_allclose(raster_field(split), raster_field(whole), atol=1e-12)
 
     @pytest.mark.parametrize(
         "composition",
@@ -104,53 +109,60 @@ class TestModeSpec:
 
 class TestModeFields:
     def test_lp01_gaussian(self):
-        f = mode_field(ModeSpec.lp("LP01"), LGTerms(N, PITCH))
+        f = raster_field(ModeSpec.lp("LP01"))
         c = N // 2
-        assert np.all(np.abs(f.imag) < 1e-12)
-        assert f.real[c, c] == np.max(f.real)
-        assert f.real[c, c] > 0
+        assert f[c, c] == np.max(f)
+        assert f[c, c] > 0
 
     def test_normalization(self, rx_specs):
         for spec in rx_specs:
-            f = mode_field(spec, LGTerms(N, PITCH))
-            assert np.sum(np.abs(f) ** 2) * PITCH ** 2 == pytest.approx(1.0)
+            f = raster_field(spec)
+            assert np.sum(f ** 2) * PITCH ** 2 == pytest.approx(1.0)
 
     def test_rx_gram_identity(self, rx_specs):
-        fields = [mode_field(s, LGTerms(N, PITCH)) for s in rx_specs]
-        n = len(fields)
-        gram = np.array(
-            [[np.vdot(fields[i], fields[j]) for j in range(n)] for i in range(n)]
-        ) * PITCH ** 2
+        fields = np.array([raster_field(s).ravel() for s in rx_specs])
+        gram = fields @ fields.T * PITCH ** 2
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-3
-        np.testing.assert_allclose(np.diag(gram).real, 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-9)
 
     def test_lp11_pair(self):
-        a = mode_field(ModeSpec.lp("LP11a"), LGTerms(N, PITCH))
-        b = mode_field(ModeSpec.lp("LP11b"), LGTerms(N, PITCH))
+        a = raster_field(ModeSpec.lp("LP11a"))
+        b = raster_field(ModeSpec.lp("LP11b"))
         assert abs(np.vdot(a, b)) * PITCH ** 2 < 1e-3
         # degenerate pair: identical azimuthally integrated radial profile
-        ia, ib = np.abs(a) ** 2, np.abs(b) ** 2
         c = optics._coords(N, PITCH)
         r = np.hypot(c[:, None], c[None, :])
         bins = np.linspace(0, 3e-3, 30)
-        pa, _ = np.histogram(r, bins=bins, weights=ia)
-        pb, _ = np.histogram(r, bins=bins, weights=ib)
+        pa, _ = np.histogram(r, bins=bins, weights=a ** 2)
+        pb, _ = np.histogram(r, bins=bins, weights=b ** 2)
         np.testing.assert_allclose(pa, pb, rtol=2e-2)
 
     def test_clipping_guard(self):
-        small = LGTerms(64, 1e-4)  # 6.4 mm raster
+        # a 6.4 mm raster
         with pytest.raises(ValueError, match="raster"):
-            mode_field(ModeSpec.lp("LP21a", waist=5e-3), small)
+            raster_field(ModeSpec.lp("LP21a", waist=5e-3), 64, 1e-4)
 
     def test_lg_orthogonality(self):
         # odd grid centers the raster on the axis so the azimuthal factor
         # of LP11a cancels against LP01 exactly; even grids leave an
         # O(1/n) half-pixel residual
-        fine = LGTerms(961, 8.832e-3 / 961)
-        lp01 = mode_field(ModeSpec.lp("LP01"), fine)
-        lp11a = mode_field(ModeSpec.lp("LP11a"), fine)
-        assert abs(np.vdot(lp01, lp11a)) * fine.pitch ** 2 < 1e-6
+        n, pitch = 961, 8.832e-3 / 961
+        lp01 = raster_field(ModeSpec.lp("LP01"), n, pitch)
+        lp11a = raster_field(ModeSpec.lp("LP11a"), n, pitch)
+        assert abs(np.vdot(lp01, lp11a)) * pitch ** 2 < 1e-6
+
+    @pytest.mark.parametrize("n", [N, 961, 30], ids=["bands_fill_raster", "odd", "one_band"])
+    def test_pixels_take_the_whole_raster_bits(self, rx_specs, n):
+        # any ascending pixel set, with a partial last band or a raster
+        # of fewer rows than one band: the bits at those pixels of the
+        # field normalized on the whole raster at once
+        pitch = 8.832e-3 / n
+        pixels = np.flatnonzero(np.random.default_rng(1).random(n * n) < 0.3)
+        for spec in rx_specs:
+            row = np.full(pixels.size, np.nan)
+            assert mode_field(spec, LGTerms(n, pitch), pixels, row) is row
+            assert_bits_equal(row, full_raster_field(spec, n, pitch).ravel()[pixels])
 
 
 def arctan2_field(spec, n, pitch):
@@ -190,7 +202,7 @@ class TestAzimuthPower:
         c = n // 2
         assert optics._coords(n, pitch)[c] == 0.0
         for spec in (ModeSpec.lp(m) for m in optics.RX_MODES):
-            f = mode_field(spec, LGTerms(n, pitch))
+            f = raster_field(spec, n, pitch)
             ref = arctan2_field(spec, n, pitch)
             assert np.all(np.isfinite(f)), spec.label
             assert np.max(np.abs(f - ref)) < 1e-12 * np.max(np.abs(ref)), spec.label
@@ -198,8 +210,11 @@ class TestAzimuthPower:
                 assert f[c, c] == 0
 
     def test_lp_fields_real(self):
+        terms = LGTerms(N, PITCH)
         for label in optics.LP_TO_LG:
-            assert not np.iscomplexobj(mode_field(ModeSpec.lp(label), LGTerms(N, PITCH))), label
+            spec = ModeSpec.lp(label)
+            field = terms.field(spec.lg_composition, spec.waist, slice(None))
+            assert field.dtype == np.float64, label
 
 
 class TestModalCoupler:
@@ -212,8 +227,8 @@ class TestModalCoupler:
     def brute_force(cfg, raster):
         n, pitch = cfg.grid_size, cfg.physical_length / cfg.grid_size
         mask = aperture_mask(n, pitch, cfg.aperture_diameter)
-        rx = [mode_field(ModeSpec.lp(m, cfg.waist), LGTerms(n, pitch)) for m in cfg.rx_modes]
-        tx = [mode_field(ModeSpec.lp(m, cfg.waist), LGTerms(n, pitch)) for m in cfg.tx_modes]
+        rx = [raster_field(ModeSpec.lp(m, cfg.waist), n, pitch) for m in cfg.rx_modes]
+        tx = [raster_field(ModeSpec.lp(m, cfg.waist), n, pitch) for m in cfg.tx_modes]
         screen = mask * np.exp(1j * raster)
         return np.array(
             [[np.sum(np.conj(a) * screen * b) for b in tx] for a in rx]
@@ -254,23 +269,50 @@ class TestModalCoupler:
             coupler.coupling(blank_screen())
 
 
+def full_raster_field(spec, n, pitch):
+    """The bit oracle of the banded build: the LG formula of LGTerms on
+    the whole raster at once, normalized by numpy's pairwise sum of the
+    whole squared field, np.add.reduce(np.square(field)) * pitch^2."""
+    c = optics._coords(n, pitch)
+    x, y = c[None, :], c[:, None]
+    w = spec.waist
+    u = (2.0 / w ** 2) * (x ** 2 + y ** 2)
+    re_z, im_z = (np.sqrt(2.0) / w) * x, (np.sqrt(2.0) / w) * y
+    weights = optics._lg_weights(spec.lg_composition)
+    parts = []
+    for p, m in dict.fromkeys((p, abs(l)) for p, l in weights):
+        a = complex(weights.get((p, m), 0))
+        amp = np.sqrt(2.0 * factorial(p) / (np.pi * factorial(p + m))) / w
+        radial = amp * optics._genlaguerre(p, m, u) * np.exp(-0.5 * u)
+        if m == 0:
+            parts.append(a.real * radial)
+            continue
+        re, im = re_z, im_z
+        for _ in range(m - 1):
+            re, im = re * re_z - im * im_z, re * im_z + im * re_z
+        for coeff, part in ((2 * a.real, re), (-2 * a.imag, im)):
+            if coeff != 0:
+                parts.append(coeff * part * radial)
+    field = sum(parts[1:], parts[0])
+    captured = np.add.reduce(np.square(field), axis=None) * pitch ** 2
+    return field / np.sqrt(captured)
+
+
 def reference_coupler(n, pitch, tx, rx, raster):
     """blank_coupling, the pixel-blocked coupling(raster) and the coupling
-    as one whole product, from the build before the coupler wrote its
-    fields into one stack: one LGTerms for every mode, a dict of aperture
-    fields and one np.stack per side."""
+    as one whole product, from fields built on the whole raster
+    (full_raster_field), gathered at the aperture pixels, held in a dict
+    and stacked per side with np.stack."""
     pixels = np.flatnonzero(aperture_mask(n, pitch))
-    terms = LGTerms(n, pitch)
+    # one whole-raster field at a time: at the default grid six would
+    # hold about 45 MB under the whole product's complex temporaries
     fields = {
-        spec: mode_field(spec, terms).ravel()[pixels]
+        spec: full_raster_field(spec, n, pitch).ravel()[pixels]
         for spec in dict.fromkeys(tx + rx)
     }
     tx_stack = np.stack([fields[s] for s in tx])
     rx_stack = np.stack([fields[s] for s in rx])
-    # the full-raster LG factors and the fields are not needed past here;
-    # at the default grid they would hold about 100 MB under the whole
-    # product's complex temporaries
-    del terms, fields
+    del fields
     blank = (rx_stack @ tx_stack.T).astype(complex) * pitch ** 2
     phi = raster.ravel()[pixels]
     cos_sum = sin_sum = 0.0
@@ -288,9 +330,10 @@ def assert_bits_equal(new, ref):
 
 
 class TestStackedBuild:
-    """The one-stack build gives the bits of the dict-plus-np.stack build,
-    and a coupling the bits of its pixel-blocked sum, which lies within
-    1e-14 of the whole product over the aperture."""
+    """The banded one-stack build gives the bits of whole-raster fields
+    in a dict and np.stack (reference_coupler), and a coupling the bits
+    of its pixel-blocked sum, which lies within 1e-14 of the whole
+    product over the aperture."""
 
     @staticmethod
     def check(coupler, screen, reference):

@@ -71,6 +71,11 @@ class TestConfig:
             {"physical_length": 1e-320, "inner_scale": 1e-321, "grid_size": 10**6},
             # 1 / outer_scale**2 overflows the float range
             {"outer_scale": 1.3407807929942597e+154},
+            # 6.88 (physical_length / fried)**(5/3) overflows the float range
+            {"fried": 2.225073858507203e-309},
+            {"fried": 1e-200},
+            # 3.0 ** subharmonic_levels overflows the float range
+            {"subharmonic_levels": 647},
         ],
     )
     def test_invalid(self, kwargs):
