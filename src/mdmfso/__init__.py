@@ -25,7 +25,6 @@ from .framing import Frame, FrameLayout, assemble_frames, mode_delays
 from .channel import osnr_to_n0, propagate, wiener_phase
 from .dsp import (
     cancel_phase,
-    equalize,
     estimate_channel,
     estimate_phase,
     hard_decision,
@@ -59,7 +58,6 @@ __all__ = [
     "assemble_frames",
     "batch_generate",
     "cancel_phase",
-    "equalize",
     "estimate_channel",
     "estimate_phase",
     "generate_screen",

@@ -2,19 +2,18 @@
 
 The received vector at symbol t is
 
-    y_r[t] = diag(e^{j phi_k[t]}) H (g * s)[t] + n_r[t]
+    y_r[t] = diag(e^{j phi_k[t]}) H s[t] + n_r[t]
 
 with independent Wiener phase walks phi_k per receive channel (transmit
-phases are conserved and set to the identity reference), g an optional
-per-path FIR memory, and circular complex Gaussian noise calibrated from
-the measured OSNR in a 12.5 GHz reference bandwidth.
+phases are conserved and set to the identity reference) and circular
+complex Gaussian noise calibrated from the measured OSNR in a 12.5 GHz
+reference bandwidth.
 
 A leaf module: it imports no other mdmfso module, and every function
 takes plain values: wiener_phase the linewidth, baud and seed of its
 walks, whose step variance walk_variance checks (for ExperimentConfig
-too), and propagate the transmit streams, the channel, the phase, the
-noise variance and seed, and the FIR taps, which it scales to unit
-energy with unit_energy_taps.
+too), and propagate the transmit streams, the channel, the phase, and
+the noise variance and seed.
 """
 
 import numpy as np
@@ -82,43 +81,13 @@ def wiener_phase(n_symbols, n_rx, linewidth, baud, seed):
     return phi
 
 
-def unit_energy_taps(taps):
-    """The 1-D odd-length FIR taps as a complex array scaled to unit
-    energy; taps of zero or infinite energy raise ValueError."""
-    taps = np.asarray(taps, dtype=complex)
-    if taps.ndim != 1 or taps.size % 2 != 1:
-        raise ValueError("taps must be a 1-D odd-length sequence")
-    with np.errstate(over="ignore"):  # an infinite norm is rejected below
-        norm = np.sqrt(np.sum(np.abs(taps) ** 2))
-    if not 0 < norm < np.inf:
-        raise ValueError("taps must have a finite, nonzero energy")
-    return taps / norm
-
-
-def fir_same(symbols, taps):
-    """Each row of symbols through the odd-length FIR taps, as a direct
-    sum: the centred "same"-length convolution, out[t] = sum_m taps[m]
-    symbols[t + len(taps) // 2 - m], zero outside the stream."""
-    taps = np.asarray(taps, dtype=complex)
-    half = taps.size // 2
-    n = symbols.shape[1]
-    padded = np.pad(symbols, ((0, 0), (half, half)))
-    out = np.zeros(symbols.shape, dtype=complex)
-    for m, tap in enumerate(taps):
-        out += tap * padded[:, 2 * half - m : 2 * half - m + n]
-    return out
-
-
-def propagate(symbols, h, phase, n0, seed, taps):
+def propagate(symbols, h, phase, n0, seed):
     """Apply the MIMO system model to the (n_t, T) transmit streams
     through the (n_r, n_t) channel h; returns the (n_r, T) received
     streams.
 
     phase is the (n_r, T) receive phase, or None for none; n0 >= 0 is
-    the complex noise variance, drawn from seed (n0 = 0 draws nothing);
-    taps is the per-path FIR memory, scaled to unit energy by
-    unit_energy_taps. The single tap 1 leaves the streams as they are,
-    and any other single tap scales them.
+    the complex noise variance, drawn from seed (n0 = 0 draws nothing).
     """
     symbols = np.asarray(symbols)
     h = np.asarray(h)
@@ -129,12 +98,9 @@ def propagate(symbols, h, phase, n0, seed, taps):
         raise ValueError("phase trajectories must be (n_r, n_symbols)")
     if not n0 >= 0:
         raise ValueError(f"noise variance n0={n0!r} must be >= 0")
-    taps = unit_energy_taps(taps)
-
-    shaped = symbols if taps.size == 1 and taps[0] == 1 else fir_same(symbols, taps)
 
     # complex even for a real channel and real symbols: written in place below
-    y = (h @ shaped).astype(complex, copy=False)
+    y = (h @ symbols).astype(complex, copy=False)
     if phase is not None:
         # exp(1j * phase) as cos + j sin, bit for bit, one row at a time
         # into one buffer; the + 0.0 gives sin(-0.0) the +0.0 imaginary

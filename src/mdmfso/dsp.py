@@ -1,9 +1,9 @@
 """Carrier-asynchronous MIMO receive chain.
 
 Training-based least-squares channel estimation, pilot-aided phase
-tracking and cancellation, pilot-driven LMS equalization, and linear
-MMSE or successive-interference-cancellation (SIC) decoding with greedy
-max-SINR ordering.
+tracking and cancellation, and linear MMSE or
+successive-interference-cancellation (SIC) decoding with greedy max-SINR
+ordering.
 
 A leaf module: it imports no other mdmfso module, and every channel
 argument h is a plain (n_r, n_t) array, such as estimate_channel returns.
@@ -95,57 +95,6 @@ def cancel_phase(y_r, phi):
     np.negative(rot.imag, out=rot.imag)
     rot *= np.asarray(y_r)
     return rot
-
-
-def _shift_stack(y, taps):
-    """(n_r, taps, T) zero-padded tap-delayed copies, center tap = y."""
-    n_r, total = y.shape
-    center = taps // 2
-    out = np.zeros((n_r, taps, total), dtype=complex)
-    for tau in range(taps):
-        off = tau - center
-        if off == 0:
-            out[:, tau, :] = y
-        elif off > 0:
-            out[:, tau, :-off] = y[:, off:]
-        else:
-            out[:, tau, -off:] = y[:, :off]
-    return out
-
-
-def equalize(y, h, pilot_times, pilot_symbols, taps, step):
-    """Pilot-driven LMS FIR bank restoring y ~ Hhat s.
-
-    The n_r x n_r symbol-spaced bank starts as a center-tap identity and
-    is updated only at pilot instants against the modified reference
-    Hhat s_p (not s_p), so the MIMO decode stays with a later stage. The
-    adapted bank is then applied to the full stream.
-    """
-    if taps % 2 != 1:
-        raise ValueError("tap count must be odd")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    y = np.asarray(y)
-    ref = np.asarray(h) @ np.asarray(pilot_symbols)
-    n_r = y.shape[0]
-    center = taps // 2
-    weights = np.zeros((n_r, n_r, taps), dtype=complex)
-    weights[np.arange(n_r), np.arange(n_r), center] = 1.0
-
-    stacked = _shift_stack(y, taps)
-    in_power = np.mean(np.abs(y) ** 2)
-    for i, t in enumerate(np.asarray(pilot_times)):
-        x = stacked[:, :, t]
-        out = np.einsum("kjs,js->k", weights, x)
-        if np.mean(np.abs(out) ** 2) > 10.0 * in_power:
-            raise RuntimeError(
-                f"equalizer diverged at pilot {i} (output power "
-                f"{np.mean(np.abs(out) ** 2):.3e} vs input {in_power:.3e}); "
-                "reduce the step size"
-            )
-        err = ref[:, i] - out
-        weights += step * err[:, None, None] * np.conj(x)[None, :, :]
-    return np.einsum("kjs,jst->kt", weights, stacked)
 
 
 def _mmse_weights(h, n0):

@@ -6,8 +6,8 @@ scintillation index, net spectral efficiency), and emits deterministic
 CSV / JSON reports for single runs, OSNR sweeps and Monte-Carlo
 ensembles. The channel is a plain (n_r, n_t) array from optics on, and
 channel and dsp take and return plain values: harness hands them the
-config's linewidth, baud, noise variance, seeds and ISI taps, and
-unwraps Frame.symbols for them. It is the one module that writes report
+config's linewidth, baud, noise variance and seeds, and unwraps
+Frame.symbols for them. It is the one module that writes report
 files, through write_csv and write_json. A report keeps what the
 program reads of a decode: the bit and soft-symbol errors scored from
 its soft output, and its decode order, the natural order for MMSE.
@@ -59,9 +59,8 @@ _TUPLE_ITEMS = {
     "tx_modes": str,
     "rx_modes": str,
     "osnr_grid": float,
-    "isi_taps": complex,
 }
-_NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Number}
+_NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real}
 
 
 def _valid(value, kind):
@@ -115,10 +114,6 @@ class ExperimentConfig:
     n_frames: int = 2
 
     pilot_window: int = 8
-    use_equalizer: bool = False
-    equalizer_taps: int = 7
-    equalizer_step: float = 1e-3
-    isi_taps: tuple = (1.0,)
 
     realizations: int = 120
     decoder: str = "both"  # mmse | sic | both
@@ -185,18 +180,8 @@ class ExperimentConfig:
             channel_mod.walk_variance(self.linewidth, self.baud)
         except ValueError as exc:
             raise ValueError(f"config {exc}") from None
-        try:
-            channel_mod.unit_energy_taps(self.isi_taps)
-        except ValueError as exc:
-            raise ValueError(f"config isi_taps={self.isi_taps!r}: {exc}") from None
         if self.pilot_window < 1:
             raise ValueError(f"config pilot_window={self.pilot_window!r} must be >= 1")
-        if self.equalizer_taps < 1 or self.equalizer_taps % 2 != 1:
-            raise ValueError(f"config equalizer_taps={self.equalizer_taps!r} must be odd and >= 1")
-        if not 0 < self.equalizer_step < np.inf:
-            raise ValueError(
-                f"config equalizer_step={self.equalizer_step!r} must be positive and finite"
-            )
         if not 0 < self.hd_fec < 1:
             raise ValueError(f"config hd_fec={self.hd_fec!r} must lie in (0, 1)")
 
@@ -324,11 +309,14 @@ def build_channel(config, realization, coupler=None):
         d = r.diagonal()
         q *= d / abs(d)
         return q[:, : config.n_t]
+    # the screen first, so that its synthesis transients are freed before
+    # the coupler's mode stack is built
+    screen = None
+    if config.channel_kind == "turbulent":
+        screen = realization_screen(config, realization)
     if coupler is None:
         coupler = ModalCoupler(config)
-    if config.channel_kind == "blank":
-        return coupler.channel_matrix(None)
-    return coupler.channel_matrix(realization_screen(config, realization))
+    return coupler.channel_matrix(screen)
 
 
 def build_frames(config):
@@ -343,9 +331,9 @@ def build_frames(config):
 def _frame_windows(frame, layout, n_frames):
     """Per frame: (slice, joint TS times, known-vector times), frame-local.
 
-    Phase tracking and equalizer updates use every instant where the
-    whole transmit vector is known (TS or pilot on each channel), which
-    covers the stream at the pilot rate thanks to the delay schedule.
+    Phase tracking uses every instant where the whole transmit vector
+    is known (TS or pilot on each channel), which covers the stream at
+    the pilot rate thanks to the delay schedule.
     """
     ts_all = frame.joint_ts_times()
     pilots_all = frame.joint_known_times()
@@ -380,30 +368,18 @@ def decode_stream(y, frame, config, n0, h):
     }
     for sl, ts_local, pilot_local in _frame_windows(frame, layout, config.n_frames):
         y_f = y[:, sl]
-        pilots = frame.symbols[:, sl][:, pilot_local]
+        sent = frame.symbols[:, sl]
         if config.genie_csi:
             # theoretical-reference mode: known channel, no carrier
             # imperfection, so the tracker would only add self-noise
             h_hat = h
             y_c = y_f
         else:
-            h_hat = dsp.estimate_channel(
-                y_f[:, ts_local], frame.symbols[:, sl][:, ts_local]
-            )
+            h_hat = dsp.estimate_channel(y_f[:, ts_local], sent[:, ts_local])
             phase = dsp.estimate_phase(
-                y_f, pilot_local, pilots, h_hat, window=config.pilot_window
+                y_f, pilot_local, sent[:, pilot_local], h_hat, window=config.pilot_window
             )
             y_c = dsp.cancel_phase(y_f, phase)
-        if config.use_equalizer:
-            y_c = dsp.equalize(
-                y_c,
-                h_hat,
-                pilot_local,
-                pilots,
-                taps=config.equalizer_taps,
-                step=config.equalizer_step,
-            )
-        sent = frame.symbols[:, sl]
         dmask = frame.data_mask[:, sl]
         off_data = ~dmask
         syms = np.count_nonzero(dmask, axis=1)
@@ -463,9 +439,7 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
         config.baud,
         _seed(config.seed, 1, realization),
     )
-    y = channel_mod.propagate(
-        frame.symbols, h, phase, n0, _seed(config.seed, 2, realization), config.isi_taps
-    )
+    y = channel_mod.propagate(frame.symbols, h, phase, n0, _seed(config.seed, 2, realization))
     del phase  # the receiver tracks its own; free the true trajectory
 
     acc = decode_stream(y, frame, config, n0, h)

@@ -150,7 +150,7 @@ def test_criterion_03_awgn_calibration():
     for c in range(chunks):
         idx = rng.integers(0, 4, (n_t, chunk))
         s = QPSK[idx]
-        y = propagate(s, np.eye(n_t, dtype=complex), None, n0, c, (1.0,))
+        y = propagate(s, np.eye(n_t, dtype=complex), None, n0, c)
         hard = dsp.hard_decision(y)
         bit_errors += np.sum(qpsk_demap(hard) != qpsk_demap(s))
     total_bits = 2 * n_t * chunk * chunks  # 2e7 bits from 1e7 symbols
@@ -246,7 +246,7 @@ def test_criterion_06_orthogonal_equivalence():
     for trial in range(100):
         u = unitary_group.rvs(8, random_state=1000 + trial)[:, :6]
         s = QPSK[rng.integers(0, 4, (6, 200))]
-        y = propagate(s, u, None, n0, trial, (1.0,))
+        y = propagate(s, u, None, n0, trial)
         a = dsp.mmse_decode(y, u, n0)
         b, _ = dsp.sic_decode(y, u, n0)
         assert np.array_equal(dsp.hard_decision(a), dsp.hard_decision(b))
@@ -259,7 +259,7 @@ def test_criterion_07_first_stage_equality():
     for trial in range(50):
         h = (rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))) / np.sqrt(20)
         s = QPSK[rng.integers(0, 4, (10, 100))]
-        y = propagate(s, h, None, n0, trial, (1.0,))
+        y = propagate(s, h, None, n0, trial)
         mmse = dsp.mmse_decode(y, h, n0)
         sic, order = dsp.sic_decode(y, h, n0)
         assert np.array_equal(sic[order[0]], mmse[order[0]])
@@ -303,7 +303,7 @@ def test_criterion_09_estimator_sanity():
     s = QPSK[rng.integers(0, 4, (n_r, total))]
     s[:, pilot_times] = pilots
     phi = wiener_phase(total, n_r, 1e5, DEFAULT_BAUD, 90)
-    y = propagate(s, np.eye(n_r), phi, 10 ** -1.5, 91, (1.0,))
+    y = propagate(s, np.eye(n_r), phi, 10 ** -1.5, 91)
     est_phase = dsp.estimate_phase(y, pilot_times, pilots, np.eye(n_r), window=8)
     mse = float(np.mean((est_phase - phi) ** 2))
     assert mse < 5e-3, f"phase tracking MSE {mse:.2e} rad^2"

@@ -10,7 +10,6 @@ from mdmfso import dsp
 from mdmfso.channel import DEFAULT_BAUD, propagate, wiener_phase
 from mdmfso.dsp import (
     cancel_phase,
-    equalize,
     estimate_channel,
     estimate_phase,
     hard_decision,
@@ -46,7 +45,7 @@ class TestEstimateChannel:
         n0 = 0.05
         errs = []
         for trial in range(40):
-            y = propagate(s, h, None, n0, trial, (1.0,))
+            y = propagate(s, h, None, n0, trial)
             errs.append(np.abs(estimate_channel(y, s) - h) ** 2)
         var = np.mean(errs)
         assert n0 / 1680 / 2 < var < n0 / 1680 * 2
@@ -114,7 +113,7 @@ class TestEstimatePhase:
             rng.integers(0, 4, (n_r, total - pt.size))
         ]
         phi = wiener_phase(total, n_r, 1e5, DEFAULT_BAUD, 8)
-        y = propagate(s, np.eye(n_r), phi, 10 ** -1.5, 9, (1.0,))
+        y = propagate(s, np.eye(n_r), phi, 10 ** -1.5, 9)
         est = estimate_phase(y, pt, pilots, np.eye(n_r), window=8)
         mse = np.mean((est - phi) ** 2)
         assert mse < 5e-3
@@ -176,46 +175,6 @@ class TestCancelPhase:
             old = np.exp(-1j * phi)
             old *= y_r
             assert np.array_equal(cancel_phase(y_r, phi).view(np.uint64), old.view(np.uint64))
-
-
-class TestEqualize:
-    def test_memoryless_near_identity(self):
-        rng = np.random.default_rng(5)
-        h = np.eye(2, dtype=complex) * 2.0
-        total = 20000
-        pt = np.arange(0, total, 10)
-        s = QPSK[rng.integers(0, 4, (2, total))]
-        y = h @ s
-        out = equalize(y, h, pt, s[:, pt], taps=7, step=1e-3)
-        # reference is Hhat s_p, so a memoryless channel needs no change
-        assert np.mean(np.abs(out - y) ** 2) / np.mean(np.abs(y) ** 2) < 1e-3
-
-    def test_isi_improvement(self):
-        # 3-tap ISI at 15 dB: LMS bank removes >= 30% of the error power
-        rng = np.random.default_rng(6)
-        h = np.eye(2, dtype=complex)
-        total = 40000
-        pt = np.arange(0, total, 10)
-        s = QPSK[rng.integers(0, 4, (2, total))]
-        y = propagate(s, h, None, 10 ** -1.5, 11, [0.3, 1.0, 0.2])
-        out = equalize(y, h, pt, s[:, pt], taps=7, step=1e-3)
-        err_before = np.mean(np.abs(y - h @ s) ** 2)
-        err_after = np.mean(np.abs(out - h @ s) ** 2)
-        assert err_after < 0.7 * err_before
-
-    def test_divergence_guard(self):
-        rng = np.random.default_rng(12)
-        s = QPSK[rng.integers(0, 4, (2, 5000))]
-        pt = np.arange(0, 5000, 10)
-        with pytest.raises(RuntimeError, match="diverged"):
-            # reference 3x larger than the stream forces big LMS errors
-            equalize(s, 3.0 * np.eye(2), pt, s[:, pt], taps=7, step=5.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            equalize(np.zeros((1, 10)), np.eye(1), [0], np.ones((1, 1)), taps=4, step=1e-3)
-        with pytest.raises(ValueError):
-            equalize(np.zeros((1, 10)), np.eye(1), [0], np.ones((1, 1)), taps=7, step=0.0)
 
 
 class TestHardDecision:
@@ -377,7 +336,7 @@ class TestSicDecode:
         for trial in range(20):
             h = random_channel(rng, 6, 4)
             s = QPSK[rng.integers(0, 4, (4, 50))]
-            y = propagate(s, h, None, 0.05, trial, (1.0,))
+            y = propagate(s, h, None, 0.05, trial)
             mmse = mmse_decode(y, h, 0.05)
             sic, order = sic_decode(y, h, 0.05)
             assert np.array_equal(sic[order[0]], mmse[order[0]])
@@ -388,7 +347,7 @@ class TestSicDecode:
         for trial in range(10):
             u = unitary_group.rvs(4, random_state=100 + trial)
             s = QPSK[rng.integers(0, 4, (4, 500))]
-            y = propagate(s, u, None, 0.1, trial, (1.0,))
+            y = propagate(s, u, None, 0.1, trial)
             a = mmse_decode(y, u, 0.1)
             b, _ = sic_decode(y, u, 0.1)
             np.testing.assert_array_equal(hard_decision(a), hard_decision(b))
@@ -437,7 +396,7 @@ def test_sic_matches_sequential_reference(n0):
     for trial in range(50):
         h = random_channel(rng, 12, 10)
         s = QPSK[rng.integers(0, 4, (10, 300))]
-        y = propagate(s, h, None, 0.05, trial, (1.0,))
+        y = propagate(s, h, None, 0.05, trial)
         soft, hard, ref_order = reference_sic(y, h, n0)
         out, order = sic_decode(y, h, n0)
         assert order == ref_order

@@ -96,10 +96,6 @@ _RUN_VALUES = {
     "pilot_period": st.integers(-1, 12) | st.just(10**6),
     "n_frames": st.integers(-1, 2),
     "pilot_window": st.integers(-1, 50) | st.just(10**6),
-    "use_equalizer": st.booleans(),
-    "equalizer_taps": st.integers(-2, 9),
-    "equalizer_step": st.floats() | st.sampled_from([1e-3, 10.0]),
-    "isi_taps": st.lists(st.floats(-2, 2) | st.integers(-2, 2), max_size=5),
     "hd_fec": st.floats(),
     "realizations": st.integers(1, 2),
     "grid_size": st.integers(-2, 3) | st.sampled_from([16, 17, 64]),
@@ -162,17 +158,9 @@ class TestConfig:
             {"osnr_grid": [12.0]},
             {"tx_modes": (["LP01"],)},
             {"osnr_db": 10**400},
-            {"isi_taps": (1, 10**400, 1)},
             {"linewidth": -1.0},
             {"linewidth": np.inf},
-            {"isi_taps": (0.7, 0.7)},
-            {"isi_taps": (0.0, 0.0, 0.0)},
-            {"isi_taps": ()},
             {"pilot_window": 0},
-            {"equalizer_taps": 6},
-            {"equalizer_taps": -1},
-            {"equalizer_step": 0.0},
-            {"equalizer_step": -1e-3},
             {"hd_fec": -1.0},
             {"hd_fec": 0.0},
             {"hd_fec": 1.0},
@@ -460,17 +448,6 @@ class TestPipeline:
             assert h.shape == ref.shape and np.array_equal(h.view(np.uint64), ref.view(np.uint64))
             np.testing.assert_allclose(h.conj().T @ h, np.eye(cfg.n_t), rtol=0, atol=1e-12)
 
-    def test_equalizer_lowers_sic_ber_under_isi(self):
-        # the pilot-driven LMS bank undoes most of a 3-tap intersymbol
-        # interference that the memoryless decoders leave in
-        cfg = ExperimentConfig(
-            **FAST, seed=1, osnr_db=30.0, isi_taps=(0.3, 1.0, 0.2), decoder="sic"
-        )
-        plain = run_realization(cfg)["sic"].ber_avg
-        equalized = replace(cfg, use_equalizer=True, equalizer_step=1e-2)
-        assert plain > 5e-3
-        assert run_realization(equalized)["sic"].ber_avg < plain / 20
-
     def test_monte_carlo_summary(self):
         cfg = ExperimentConfig(**FAST, osnr_db=18.0)
         summary = monte_carlo(cfg)
@@ -656,10 +633,12 @@ class TestMemoryBudget:
 
     def test_build_channel(self):
         # the level-0 weights are cached per geometry, so one screen
-        # first; then the peak is the coupler's stack under a screen
+        # first; then the screen is made before the coupler, and the peak
+        # is the coupler's build under the finished screen, not the
+        # screen synthesis's transients on top of the coupler's stack
         cfg = ExperimentConfig()
         screens.generate_screen(cfg.screen_config())
-        assert traced_peak_mb(build_channel, cfg, 0) <= 62.0
+        assert traced_peak_mb(build_channel, cfg, 0) <= 56.0
 
     def test_generate_screen(self):
         # the level-0 weights are cached per geometry, so one screen
@@ -712,7 +691,7 @@ def test_scoring_matches_per_channel_loop(monkeypatch, thinned):
     h = (rng.standard_normal((cfg.n_r, cfg.n_t))
          + 1j * rng.standard_normal((cfg.n_r, cfg.n_t))) / np.sqrt(2 * cfg.n_t)
     n0 = 0.15
-    y = channel.propagate(frame.symbols, h, None, n0, 21, (1.0,))
+    y = channel.propagate(frame.symbols, h, None, n0, 21)
 
     results = []
     for name in ("mmse_decode", "sic_decode"):
@@ -801,7 +780,7 @@ GOLDEN = {
     },
     "monte-carlo": {
         "realizations.csv": "2adcc8f1d536e5ddcb04da1fee1d19146cc14ed43f387da2ba6e93a418ee3d9e",
-        "summary.json": "52f1257d72950bec813ef06c86e045dfa1b487bf72e86ed5edadb9c7524e543c",
+        "summary.json": "b9d382177b7822d7eb4d60109b9705c51bb545068d1d3f69cc6f20a71dd38434",
         "histogram.csv": "fc43adf6613f77cc8094001e670d0b628dcc993c23bf9ca6de2b43a7f97cf97f",
     },
     "run": {
@@ -1090,17 +1069,25 @@ class TestCli:
         assert done.returncode == 0
         assert done.stdout.startswith("usage: mdmfso ")
 
-    def test_bad_config_returns_error(self, tmp_path):
+    def test_bad_config_returns_error(self, tmp_path, capsys):
+        # any key ExperimentConfig lacks exits 1, the names of an
+        # intersymbol-interference channel and an equalizer, which the
+        # link does not model, among them
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"no_such_key": 1}))
-        rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path)])
-        assert rc == 1
+        for key, value in [("no_such_key", 1), ("isi_taps", [0.3, 1.0, 0.2]),
+                           ("use_equalizer", True), ("equalizer_taps", 7),
+                           ("equalizer_step", 1e-3)]:
+            bad.write_text(json.dumps({key: value}))
+            rc = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+            assert not (tmp_path / "out").exists()
 
 
 def test_import_leaves_scipy_unloaded():
     # the runtime needs only numpy: no scipy on import, nor in the paths
-    # that once used it (the KS distance, the unitary channel and the ISI
-    # filter); the thread pool is imported only by the functions that use
+    # that once used it (the KS distance and the unitary channel); the
+    # thread pool is imported only by the functions that use
     # it, and the PRBS-15 tables are built on first use, so that
     # importing the package stays cheap
     code = """
@@ -1119,7 +1106,7 @@ cfg = harness.ExperimentConfig(
     channel_kind="unitary", tx_modes=("LP01",), rx_modes=("LP01", "LP11a"), n_frames=1
 )
 harness.build_channel(cfg, 0)
-channel.propagate(np.ones((2, 50), complex), np.eye(2), None, 0.0, 0, [0.3, 1.0, 0.2])
+channel.propagate(np.ones((2, 50), complex), np.eye(2), None, 0.0, 0)
 print(loaded("scipy"))
 """
     out = subprocess.run(
