@@ -6,7 +6,8 @@ transforming, and augmenting the missing low spatial frequencies with
 3x3 subharmonic grids at spacing 1/(3^p L) per level p. The real parts
 of all subharmonic levels are added to the raster as one real matrix
 product, and each complex draw is scaled into place, its real and
-imaginary parts written from one real buffer.
+imaginary parts written from one real buffer. _plan builds the
+amplitudes and sampling corrections once per geometry and spectrum.
 
 The synthesis is calibrated so that the ensemble phase power spectral
 density equals 0.023 * r0**(-5/3) * (f^2 + 1/L0^2)**(-11/6)
@@ -127,55 +128,24 @@ class PhaseScreen:
         return self.grid_size * self.pitch
 
 
-def _frequency_grid(config, level):
-    """Return (fx, fy) for the requested synthesis level, as a row and a
-    column that broadcast to the grid (the values of np.meshgrid).
+def _amplitude(config, level):
+    """Coefficient magnitude on the level's frequency grid, rows fy and
+    columns fx: level 0 is the full FFT grid (fft ordering, n/L), level
+    p >= 1 the 3x3 subharmonic grid, each at spacing df = 1/(3^p L).
 
-    Level 0 is the full FFT grid (fft ordering, n/L); level p >= 1 is the
-    3x3 subharmonic grid with spacing 1/(3^p L).
+    The coefficient at (fx, fy) is w * sqrt(0.023) * df * (2/r0)**(5/6)
+    * (f^2 + 1/L0^2)**(-11/12) * exp(-f^2 (2 pi l0/5.92)^2 / 2) for a
+    unit draw w. _spectrum_shape is a second copy of the spectrum, the
+    PSD that _sampling_correction integrates; the two stay apart because
+    x**(-11/12) and sqrt(x**(-11/6)) round differently.
     """
+    df = 1.0 / (3.0 ** level * config.physical_length)
     if level == 0:
         f1 = np.fft.fftfreq(config.grid_size, d=config.pitch)
     else:
-        df = 1.0 / (3.0 ** level * config.physical_length)
         f1 = np.array([-1.0, 0.0, 1.0]) * df
-    return f1[None, :], f1[:, None]
-
-
-def vonkarman_coefficients(config, level, rng_draws):
-    """Shape unit complex Gaussian draws into von Karman Fourier coefficients.
-
-    The coefficient at frequency (fx, fy) is
-    w * sqrt(0.023) * df * (2/r0)**(5/6) * (fx^2+fy^2+1/L0^2)**(-11/12)
-    * exp(-(fx^2+fy^2) (2 pi l0/5.92)^2 / 2), with df the level's frequency
-    spacing. The (0, 0) coefficient is zeroed (piston / handled by coarser
-    levels).
-    """
-    if level > config.subharmonic_levels:
-        raise ValueError(
-            f"level {level} exceeds subharmonic_levels={config.subharmonic_levels}"
-        )
-    draws = np.asarray(rng_draws)
-    if not np.all(np.isfinite(draws)):
-        raise ValueError("rng_draws must be finite")
-    amp = _amplitude(config, level)
-    if draws.shape != amp.shape:
-        raise ValueError(f"rng_draws shape {draws.shape} != grid shape {amp.shape}")
-    c = draws * amp
-    if level == 0:
-        c[0, 0] = 0.0
-    else:
-        c[1, 1] = 0.0
-    return c
-
-
-def _amplitude(config, level):
-    """Coefficient magnitude on the level's frequency grid (see
-    vonkarman_coefficients); the one copy of the spectrum expression."""
-    fx, fy = _frequency_grid(config, level)
-    df = 1.0 / (3.0 ** level * config.physical_length)
-    f2 = fx ** 2 + fy ** 2
-    # at outer_scale = inf the zero-frequency cell, which the caller
+    f2 = f1[None, :] ** 2 + f1[:, None] ** 2
+    # at outer_scale = inf the zero-frequency cell, which generate_screen
     # zeroes, is infinite
     with np.errstate(divide="ignore"):
         return (
@@ -188,17 +158,21 @@ def _amplitude(config, level):
 
 
 @lru_cache(maxsize=8)
-def _level0(config):
-    """Seed-independent level-0 weights of generate_screen, cached per
-    geometry and spectrum (config with seed and subharmonic_levels zeroed).
+def _plan(config):
+    """Seed-independent weights of generate_screen, built once per
+    geometry and spectrum (config with its seed zeroed).
 
-    Returns (amp, cells, corr): the level-0 amplitude with the coordinate
-    sign (-1)^(i + j) of pixel-center coordinates folded in, the np.ix_
-    index of the low-frequency block, and that block's sampling
-    correction. The correction is exactly 1 outside the block. Folding
-    the sign in is exact: a product with -1 only flips a sign bit, so
-    draws * (amp * sign) * corr has the bits of draws * amp * corr * sign.
-    All three are read-only.
+    Returns (level0, levels). level0 is (amp, cells, corr): the level-0
+    amplitude with the coordinate sign (-1)^(i + j) of pixel-center
+    coordinates folded in, the np.ix_ index of the low-frequency block,
+    and that block's sampling correction, which is exactly 1 outside the
+    block. Folding the sign in is exact: a product with -1 only flips a
+    sign bit, so draws * (amp * sign) * corr has the bits of
+    draws * amp * corr * sign. levels holds, per subharmonic level p, its
+    (3, 3) amplitude and sampling correction and its frequencies
+    [-1, 0, 1] / (3^p L). The (N, 3) pixel exponentials stay per screen:
+    held here, they raised the peak RSS of one screen and of threaded
+    batches. Every array is read-only.
     """
     n = config.grid_size
     sign = 1.0 - 2.0 * (np.arange(n) % 2)  # index and fft frequency share parity
@@ -207,18 +181,24 @@ def _level0(config):
     amp *= sign[:, None]
     low = _low_cells(n)
     cells = np.ix_(low, low)
-    corr = _sampling_correction(
-        n, config.physical_length, config.outer_scale, config.inner_scale, 0
+    corr = _sampling_correction(config, 0)
+    levels = tuple(
+        (
+            _amplitude(config, level),
+            _sampling_correction(config, level),
+            np.array([-1.0, 0.0, 1.0]) * (1.0 / (3.0 ** level * config.physical_length)),
+        )
+        for level in range(1, config.subharmonic_levels + 1)
     )
-    for a in (amp, *cells):
+    for a in chain([amp, *cells, corr], *levels):
         a.flags.writeable = False
-    return amp, cells, corr
+    return (amp, cells, corr), levels
 
 
-def _spectrum_shape(f2, outer_scale, inner_scale):
+def _spectrum_shape(f2, config):
     """Frequency-dependent part of the phase PSD (r0 scaling factors out)."""
-    return (f2 + 1.0 / outer_scale ** 2) ** (-11.0 / 6.0) * np.exp(
-        -f2 * (2.0 * np.pi * inner_scale / 5.92) ** 2
+    return (f2 + 1.0 / config.outer_scale ** 2) ** (-11.0 / 6.0) * np.exp(
+        -f2 * (2.0 * np.pi * config.inner_scale / 5.92) ** 2
     )
 
 
@@ -229,8 +209,7 @@ def _low_cells(grid_size):
     return np.flatnonzero(np.abs(idx) <= 8)
 
 
-@lru_cache(maxsize=64)
-def _sampling_correction(grid_size, physical_length, outer_scale, inner_scale, level):
+def _sampling_correction(config, level):
     """Amplitude weights replacing cell-center PSD sampling by cell means.
 
     The spectrum falls as f^(-11/3), so sampling it at the center of the
@@ -241,15 +220,15 @@ def _sampling_correction(grid_size, physical_length, outer_scale, inner_scale, l
     cells), i.e. weight = sqrt(mean of PSD*f^2 over the cell / value at
     the center). Cells with index > 8 are flat enough to leave alone:
     level 0 returns only the block of _low_cells (the weight is 1
-    elsewhere), level p >= 1 the whole 3x3 grid. The result is read-only.
+    elsewhere), level p >= 1 the whole 3x3 grid.
     """
     nodes, wts = np.polynomial.legendre.leggauss(8)
+    df = 1.0 / (3.0 ** level * config.physical_length)
     if level == 0:
-        df = 1.0 / physical_length
-        idx = np.round(np.fft.fftfreq(grid_size, d=1.0 / grid_size)).astype(int)
-        centers = idx[_low_cells(grid_size)] * df
+        n = config.grid_size
+        idx = np.round(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+        centers = idx[_low_cells(n)] * df
     else:
-        df = 1.0 / (3.0 ** level * physical_length)
         centers = np.array([-1.0, 0.0, 1.0]) * df
     # tensor quadrature over each df x df cell
     off = 0.5 * df * nodes
@@ -257,17 +236,12 @@ def _sampling_correction(grid_size, physical_length, outer_scale, inner_scale, l
     fx = centers[:, None, None, None] + off[None, :, None, None]
     fy = centers[None, None, :, None] + off[None, None, None, :]
     f2 = fx ** 2 + fy ** 2  # (small, q, small, q)
-    mean = np.einsum(
-        "aqbp,qp->ab", _spectrum_shape(f2, outer_scale, inner_scale) * f2, w2
-    )
+    mean = np.einsum("aqbp,qp->ab", _spectrum_shape(f2, config) * f2, w2)
     fc2 = centers[:, None] ** 2 + centers[None, :] ** 2
     # the origin cell's PSD is infinite or overflows for a large outer scale
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        corr = np.sqrt(
-            mean / (_spectrum_shape(fc2, outer_scale, inner_scale) * fc2)
-        )
+        corr = np.sqrt(mean / (_spectrum_shape(fc2, config) * fc2))
     corr[fc2 == 0.0] = 1.0  # origin cell is zeroed by the caller anyway
-    corr.flags.writeable = False
     return corr
 
 
@@ -294,18 +268,18 @@ def generate_screen(config):
 
     Real part of the inverse Fourier synthesis of the level-0 grid plus
     the subharmonic sums on pixel-center coordinates x, y in [-L/2, L/2),
-    piston removed. The coordinates x_j = (j - N/2) * pitch fold the -L/2
-    offset into the level-0 coefficients as the sign exp(-j pi n_int),
-    which _level0 carries in its amplitude. The eight (by default)
-    subharmonic levels enter as one real (N, 6 * levels) @ (6 * levels, N)
-    product, the same terms as level-by-level complex products summed in
-    another order; the draws are scaled in place (see _complex_draws).
+    piston removed; the amplitudes and corrections come from _plan. The
+    coordinates x_j = (j - N/2) * pitch fold the -L/2 offset into the
+    level-0 coefficients as the sign exp(-j pi n_int), which _plan
+    carries in its amplitude. The eight (by default) subharmonic levels
+    enter as one real (N, 6 * levels) @ (6 * levels, N) product, the
+    same terms as level-by-level complex products summed in another
+    order; the draws are scaled in place (see _complex_draws).
     """
     n = config.grid_size
-    length = config.physical_length
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    (amp, cells, corr), levels = _plan(replace(config, seed=0))
 
-    amp, cells, corr = _level0(replace(config, seed=0, subharmonic_levels=0))
     c0 = _complex_draws(rng, (n, n))
     c0 *= amp
     c0[0, 0] = 0.0
@@ -325,13 +299,13 @@ def generate_screen(config):
     # real (N, 6 * levels) @ (6 * levels, N) product
     coords = (np.arange(n) - n // 2) * config.pitch
     left, right = [], []
-    for level in range(1, config.subharmonic_levels + 1):
-        c = vonkarman_coefficients(config, level, _complex_draws(rng, (3, 3)))
-        c *= _sampling_correction(
-            n, length, config.outer_scale, config.inner_scale, level
-        )
-        df = 1.0 / (3.0 ** level * length)
-        fvals = np.array([-1.0, 0.0, 1.0]) * df
+    for amp_p, corr_p, fvals in levels:
+        # the centre's amplitude is infinite at outer_scale = inf until
+        # it is zeroed
+        c = _complex_draws(rng, (3, 3))
+        c *= amp_p
+        c[1, 1] = 0.0
+        c *= corr_p
         ex = np.exp(2j * np.pi * np.outer(coords, fvals))  # (N, 3)
         # c rows index fy, columns fx; raster rows are y
         a = ex @ c

@@ -22,7 +22,6 @@ from mdmfso.screens import (
     read_screen,
     structure_function,
     sub_seed,
-    vonkarman_coefficients,
     write_screen,
 )
 
@@ -85,52 +84,22 @@ class TestConfig:
 
 class TestCoefficients:
     def test_scalar_value_level0(self):
-        ones = np.ones((SMALL.grid_size, SMALL.grid_size), dtype=complex)
-        c = vonkarman_coefficients(SMALL, 0, ones)
+        amp = screens._amplitude(SMALL, 0)
         df = 1.0 / SMALL.physical_length
         # point (n, m) = (3, 5) -> f = (5 df, 3 df) under meshgrid layout
         f2 = (3.0 * df) ** 2 + (5.0 * df) ** 2
-        assert c[3, 5] == pytest.approx(vk_amplitude(f2, SMALL, df), rel=1e-12)
+        assert amp[3, 5] == pytest.approx(vk_amplitude(f2, SMALL, df), rel=1e-12)
 
     def test_scalar_value_subharmonic(self):
-        ones = np.ones((3, 3), dtype=complex)
-        c = vonkarman_coefficients(SMALL, 2, ones)
+        amp = screens._amplitude(SMALL, 2)
         df = 1.0 / (9.0 * SMALL.physical_length)
-        assert c[0, 0] == pytest.approx(vk_amplitude(2 * df ** 2, SMALL, df), rel=1e-12)
-
-    def test_center_zeroed(self):
-        ones = np.ones((SMALL.grid_size,) * 2, dtype=complex)
-        assert vonkarman_coefficients(SMALL, 0, ones)[0, 0] == 0.0
-        assert vonkarman_coefficients(SMALL, 1, np.ones((3, 3)))[1, 1] == 0.0
+        assert amp[0, 0] == pytest.approx(vk_amplitude(2 * df ** 2, SMALL, df), rel=1e-12)
 
     def test_fried_scaling(self):
         # halving r0 scales every coefficient by 2**(5/6)
-        ones = np.ones((3, 3), dtype=complex)
-        c1 = vonkarman_coefficients(SMALL, 1, ones)
-        half = ScreenConfig(
-            fried=SMALL.fried / 2,
-            grid_size=SMALL.grid_size,
-            physical_length=SMALL.physical_length,
-            subharmonic_levels=3,
-        )
-        c2 = vonkarman_coefficients(half, 1, ones)
-        mask = np.ones((3, 3), dtype=bool)
-        mask[1, 1] = False
-        np.testing.assert_allclose(c2[mask] / c1[mask], 2 ** (5.0 / 6.0), rtol=1e-12)
-
-    def test_level_out_of_range(self):
-        with pytest.raises(ValueError):
-            vonkarman_coefficients(SMALL, 4, np.ones((3, 3)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            vonkarman_coefficients(SMALL, 0, np.ones((3, 3)))
-
-    def test_nonfinite_draws(self):
-        bad = np.ones((3, 3), dtype=complex)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            vonkarman_coefficients(SMALL, 1, bad)
+        a1 = screens._amplitude(SMALL, 1)
+        a2 = screens._amplitude(replace(SMALL, fried=SMALL.fried / 2), 1)
+        np.testing.assert_allclose(a2 / a1, 2 ** (5.0 / 6.0), rtol=1e-12)
 
 
 class TestGeneration:
@@ -282,14 +251,22 @@ class TestSynthesisReference:
     @pytest.mark.parametrize("grid", [16, 128, 960])
     def test_bits_equal_reference(self, grid, levels):
         seeds = (0, 7, sub_seed(5, 3)) if grid < 960 else (1, sub_seed(9, 0))
-        for seed in seeds:
-            cfg = ScreenConfig(fried=0.8e-3, grid_size=grid, subharmonic_levels=levels, seed=seed)
+        # the Kolmogorov limit, whose zero-frequency amplitudes are infinite
+        # until they are zeroed
+        outers = (10.0, np.inf) if grid < 960 else (10.0,)
+        for outer, seed in itertools.product(outers, seeds):
+            cfg = ScreenConfig(
+                fried=0.8e-3, grid_size=grid, outer_scale=outer,
+                subharmonic_levels=levels, seed=seed,
+            )
             raster = generate_screen(cfg).raster
+            with np.errstate(divide="ignore"):
+                want, per_level = reference_screen(cfg), per_level_screen(cfg)
             assert raster.flags.c_contiguous
-            assert np.array_equal(raster.view(np.uint64), reference_screen(cfg).view(np.uint64))
+            assert np.array_equal(raster.view(np.uint64), want.view(np.uint64))
             # the one product only reorders the per-level sums
             tol = 1e-12 * np.abs(raster).max()
-            assert np.abs(raster - per_level_screen(cfg)).max() <= tol
+            assert np.abs(raster - per_level).max() <= tol
 
     @pytest.mark.parametrize("shape", [(3, 3), (16, 16), (960, 960)])
     def test_complex_draws_bits(self, shape):
@@ -301,12 +278,28 @@ class TestSynthesisReference:
 
     def test_cached_weights_read_only(self):
         generate_screen(SMALL)
-        amp, cells, corr = screens._level0(replace(SMALL, seed=0, subharmonic_levels=0))
+        (amp, cells, corr), levels = screens._plan(replace(SMALL, seed=0))
         assert amp.shape == (128, 128) and corr.shape == (17, 17)
-        for a in (amp, *cells, corr, screens._sampling_correction(
-            128, SMALL.physical_length, SMALL.outer_scale, SMALL.inner_scale, 1
-        )):
+        assert [[a.shape for a in level] for level in levels] == [[(3, 3), (3, 3), (3,)]] * 3
+        for a in (amp, *cells, corr, *itertools.chain(*levels)):
             assert not a.flags.writeable
+        assert screens._plan(replace(SMALL, seed=0, subharmonic_levels=0))[1] == ()
+
+    def test_warm_plan_does_no_seed_independent_work(self, monkeypatch):
+        calls = {"_amplitude": 0, "_sampling_correction": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(screens, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(screens, name, counted)
+        generate_screen(SMALL)
+        first = dict(calls)
+        generate_screen(replace(SMALL, seed=8))
+        assert calls == first
+        # a cold plan builds each of level 0 and the three subharmonic levels once
+        screens._plan.cache_clear()
+        generate_screen(replace(SMALL, seed=9))
+        assert calls == {name: first[name] + 4 for name in calls}
 
 
 class TestOrderedMap:
@@ -414,11 +407,10 @@ class TestWorkerInvariance:
 
     def test_cold_cache_race(self, set_workers):
         # more workers than cores, a short switch interval and cold caches:
-        # the first members race to build the cached level-0 weights
+        # the first members race to build the cached plan
         expected = [generate_screen(replace(self.CFG, seed=sub_seed(21, i))) for i in range(8)]
         set_workers(6)
-        screens._level0.cache_clear()
-        screens._sampling_correction.cache_clear()
+        screens._plan.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
