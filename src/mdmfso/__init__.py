@@ -16,11 +16,7 @@ from .screens import (
     structure_function,
     write_screen,
 )
-from .optics import (
-    ModalCoupler,
-    ModeSpec,
-    polarization_expand,
-)
+from .optics import ModalCoupler, polarization_expand
 from .framing import Frame, FrameLayout, assemble_frames, mode_delays
 from .channel import osnr_to_n0, propagate, wiener_phase
 from .dsp import (
@@ -50,7 +46,6 @@ __all__ = [
     "Frame",
     "FrameLayout",
     "ModalCoupler",
-    "ModeSpec",
     "MonteCarloSummary",
     "PhaseScreen",
     "RunReport",

@@ -12,8 +12,9 @@ files, through write_csv and write_json. A report keeps what the
 program reads of a decode: the bit and soft-symbol errors scored from
 its soft output, and its decode order, the natural order for MMSE.
 ExperimentConfig checks every input where it enters, the screen
-geometry, the mode waist and the pixels that sample it included, so
-that no layer below it sees a config it cannot build.
+geometry, the LP labels of optics.LP_MODES, the mode waist and the
+pixels that sample it included, so that no layer below it sees a config
+it cannot build.
 
 The entry points are run_realization, sweep_osnr, monte_carlo and
 screen_statistics, one per CLI subcommand that computes. Each call
@@ -136,14 +137,18 @@ class ExperimentConfig:
             raise ValueError("channel_kind must be turbulent, blank or unitary")
         if self.n_frames < 1 or self.realizations < 1:
             raise ValueError("n_frames and realizations must be >= 1")
-        # the screen geometry and every mode, as the coupler and the
-        # screens will build them
+        # the screen geometry as the screens will build it
         try:
             self.screen_config()
-            for label in (*self.tx_modes, *self.rx_modes):
-                optics.ModeSpec.lp(label, self.waist)
         except ValueError as exc:
             raise ValueError(f"config {exc}") from None
+        for label in (*self.tx_modes, *self.rx_modes):
+            if label not in optics.LP_MODES:
+                raise ValueError(f"config unknown LP label {label!r}")
+        # the mode fields scale r^2 by 2 / waist^2, a finite positive
+        # float only for a waist between about 1e-154 and 1e154
+        if not 1e-150 < self.waist < 1e150:
+            raise ValueError(f"config waist={self.waist!r} must lie in (1e-150, 1e150)")
         if self.grid_size < _MIN_WAIST_PIXELS * (self.physical_length / self.waist):
             raise ValueError(
                 f"config waist={self.waist!r} spans fewer than {_MIN_WAIST_PIXELS} "
@@ -161,6 +166,11 @@ class ExperimentConfig:
             )
         if not self.tx_modes or not self.rx_modes:
             raise ValueError("config tx_modes and rx_modes must each name a mode")
+        if self.channel_kind == "unitary" and self.n_t > self.n_r:
+            raise ValueError(
+                f"config channel_kind='unitary' keeps n_t={self.n_t} columns of an "
+                f"n_r x n_r unitary, so n_t must not exceed n_r={self.n_r}"
+            )
         if not 0 < self.baud < np.inf:
             raise ValueError(f"config baud={self.baud!r} must be positive and finite")
         for osnr in (self.osnr_db, *self.osnr_grid):

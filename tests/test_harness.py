@@ -51,6 +51,14 @@ FAST = dict(
     realizations=2,
 )
 
+# n_t = 6 transmit channels, more than the n_r = 4 columns of the n_r x
+# n_r Haar unitary that a unitary channel draws
+UNITARY_MORE_TX_THAN_RX = dict(
+    channel_kind="unitary",
+    tx_modes=("LP01", "LP11a", "LP11b"),
+    rx_modes=("LP01", "LP11a"),
+)
+
 
 # what a JSON config may hold: no value, a value of another type, or one
 # of the field's own type, often small or the default
@@ -194,6 +202,15 @@ class TestConfig:
             {"baud": 2.225073858507203e-309},
             # 3.0 ** subharmonic_levels overflows
             {"subharmonic_levels": 647},
+            UNITARY_MORE_TX_THAN_RX,
+            # 2 / waist^2 is not a finite positive float
+            {"waist": 1e-160},
+            {"waist": 1e181},
+            {"waist": np.inf},
+            {"waist": np.nan},
+            {"waist": 10**400},
+            {"waist": -2.1e-3},
+            {"tx_modes": ("LP31",)},
         ],
     )
     def test_invalid(self, kwargs):
@@ -224,6 +241,16 @@ class TestConfig:
             ),
             ({"fried": 1e-200}, "fried=1e-200 must leave the structure function across"),
             ({"subharmonic_levels": 647}, "subharmonic_levels=647 must leave 3.0 \\*\\* sub"),
+            # 2 / waist^2 is not a finite positive float
+            ({"waist": 1e-160}, "^config waist=1e-160 must lie in \\(1e-150, 1e150\\)$"),
+            ({"waist": 1e181}, "^config waist=1e\\+181 must lie in \\(1e-150, 1e150\\)$"),
+            ({"waist": np.inf}, "^config waist=inf must lie in \\(1e-150, 1e150\\)$"),
+            ({"waist": np.nan}, "^config waist=nan is not a valid float$"),
+            ({"waist": 10**400}, "^config waist=10{400} is not a valid float$"),
+            ({"waist": -2.1e-3}, "^config waist=-0.0021 must lie in \\(1e-150, 1e150\\)$"),
+            ({"tx_modes": ("LP31",)}, "^config unknown LP label 'LP31'$"),
+            (UNITARY_MORE_TX_THAN_RX, "keeps n_t=6 columns of an n_r x n_r unitary, so n_t "
+             "must not exceed n_r=4$"),
         ],
     )
     def test_unusable_link_rejected(self, kwargs, match):
@@ -948,13 +975,17 @@ class TestCli:
          ("run", {"grid_size": 10**400}), ("run", {"outer_scale": 1.3407807929942597e+154}),
          ("run", {"fried": 2.225073858507203e-309}), ("run", {"baud": 2.225073858507203e-309}),
          ("stats", {"fried": 1e-200}), ("run", {"subharmonic_levels": 647}),
-         ("stats", {"subharmonic_levels": 647}), ("gen-screens", {"subharmonic_levels": 647})],
+         ("stats", {"subharmonic_levels": 647}), ("gen-screens", {"subharmonic_levels": 647}),
+         ("run", UNITARY_MORE_TX_THAN_RX),
+         ("sweep", {**UNITARY_MORE_TX_THAN_RX, "osnr_grid": [16.0]}),
+         ("monte-carlo", UNITARY_MORE_TX_THAN_RX)],
         ids=["no_pilot_period", "no_payload", "all_pilots", "minus_inf_osnr",
              "no_finite_noise", "no_finite_noise_in_grid", "zero_grid", "undersampled_waist",
              "grid_beyond_float", "outer_scale_square_beyond_float",
              "subnormal_fried", "subnormal_baud", "stats_structure_function_beyond_float",
              "levels_beyond_float", "stats_levels_beyond_float",
-             "gen_screens_levels_beyond_float"],
+             "gen_screens_levels_beyond_float", "unitary_more_tx_than_rx",
+             "sweep_unitary_more_tx_than_rx", "monte_carlo_unitary_more_tx_than_rx"],
     )
     def test_unusable_link_exits_1(self, tmp_path, capsys, command, data):
         bad = tmp_path / "bad.json"

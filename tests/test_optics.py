@@ -7,9 +7,8 @@ from scipy.special import eval_genlaguerre
 from mdmfso import optics
 from mdmfso.harness import ExperimentConfig
 from mdmfso.optics import (
-    LGTerms,
+    DEFAULT_WAIST,
     ModalCoupler,
-    ModeSpec,
     calibrate_columns,
     mode_field,
     polarization_expand,
@@ -18,6 +17,19 @@ from mdmfso.screens import PhaseScreen
 
 # the raster of most tests: the default 8.832 mm field on 480 pixels
 N, PITCH = 480, 8.832e-3 / 480
+
+_SQ2 = np.sqrt(2.0)
+# the oracle data of arctan2_field and full_raster_field: each weakly
+# guiding LP mode as a free-space LG superposition, with entries
+# (radial index p, azimuthal index l, weight)
+LP_TO_LG = {
+    "LP01": ((0, 0, 1.0),),
+    "LP11a": ((0, 1, 1.0 / _SQ2), (0, -1, 1.0 / _SQ2)),
+    "LP11b": ((0, 1, -1j / _SQ2), (0, -1, 1j / _SQ2)),
+    "LP21a": ((0, 2, 1.0 / _SQ2), (0, -2, 1.0 / _SQ2)),
+    "LP21b": ((0, 2, -1j / _SQ2), (0, -2, 1j / _SQ2)),
+    "LP02": ((1, 0, 1.0),),
+}
 
 
 def coupler_of(tx=optics.TX_MODES, rx=optics.RX_MODES):
@@ -33,11 +45,12 @@ def aperture_mask(n, pitch, diameter=8.4e-3):
     return (c[None, :] ** 2 + c[:, None] ** 2 <= (diameter / 2.0) ** 2).astype(float)
 
 
-def raster_field(spec, n=N, pitch=PITCH):
-    """mode_field of spec at every pixel of the n-pixel raster, as an
+def raster_field(label, n=N, pitch=PITCH, waist=DEFAULT_WAIST):
+    """mode_field of label at every pixel of the n-pixel raster, as an
     (n, n) array."""
     everywhere = np.arange(n * n)
-    return mode_field(spec, LGTerms(n, pitch), everywhere, np.empty(n * n)).reshape(n, n)
+    coords = optics._coords(n, pitch)
+    return mode_field(label, waist, coords, pitch, everywhere, np.empty(n * n)).reshape(n, n)
 
 
 def blank_screen(value=0.0):
@@ -45,90 +58,32 @@ def blank_screen(value=0.0):
 
 
 @pytest.fixture(scope="module")
-def rx_specs():
-    return [ModeSpec.lp(m) for m in optics.RX_MODES]
-
-
-@pytest.fixture(scope="module")
 def coupler():
     return coupler_of()
 
 
-class TestModeSpec:
-    def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            ModeSpec.lp("LP31")
-
-    def test_unnormalized_composition(self):
-        with pytest.raises(ValueError):
-            ModeSpec(label="x", lg_composition=((0, 0, 0.5),))
-
-    def test_repeated_terms_combine_before_the_norm(self):
-        # 0.6 - 0.8 leaves LG(0, +-1) with weight -0.2 each: energy 0.08, not 1
-        with pytest.raises(ValueError, match="unit squared magnitude"):
-            ModeSpec(
-                label="x",
-                lg_composition=((0, 1, 0.6), (0, -1, 0.6), (0, 1, -0.8), (0, -1, -0.8)),
-            )
-        # LP11a with its LG(0, 1) term given in two halves
-        half = 0.5 / np.sqrt(2.0)
-        split = ModeSpec(label="y", lg_composition=((0, 1, half), (0, -1, 2 * half), (0, 1, half)))
-        whole = ModeSpec.lp("LP11a")
-        np.testing.assert_allclose(raster_field(split), raster_field(whole), atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "composition",
-        [
-            ((0, 1, 1.0),),
-            ((0, 1, -1j / np.sqrt(2.0)), (0, -1, -1j / np.sqrt(2.0))),
-            ((0, 0, 1j),),
-        ],
-        ids=["LG01", "LP11b_sign_flipped", "imaginary_LG00"],
-    )
-    def test_non_real_field_rejected(self, composition):
-        with pytest.raises(ValueError, match="x: the weight of LG.* is not the conjugate"):
-            ModeSpec(label="x", lg_composition=composition)
-
-    def test_every_lp_label_accepted(self):
-        labels = tuple(optics.LP_TO_LG)
-        assert [ModeSpec.lp(label).label for label in labels] == list(labels)
-        # reversed, the receive stack is a copy rather than a view
-        coupler = coupler_of(labels, labels[::-1])
-        assert coupler._tx.dtype == coupler._rx.dtype == np.float64
-
-    def test_nonpositive_waist(self):
-        with pytest.raises(ValueError):
-            ModeSpec.lp("LP01", waist=0.0)
-
-    @pytest.mark.parametrize("waist", [1e-160, 1e181, np.inf, np.nan, 10**400])
-    def test_waist_without_finite_scale_rejected(self, waist):
-        # 2 / waist^2 is not a finite positive float
-        with pytest.raises(ValueError, match="must lie in"):
-            ModeSpec.lp("LP01", waist=waist)
-
-
 class TestModeFields:
     def test_lp01_gaussian(self):
-        f = raster_field(ModeSpec.lp("LP01"))
+        f = raster_field("LP01")
         c = N // 2
         assert f[c, c] == np.max(f)
         assert f[c, c] > 0
 
-    def test_normalization(self, rx_specs):
-        for spec in rx_specs:
-            f = raster_field(spec)
+    def test_normalization(self):
+        for label in optics.RX_MODES:
+            f = raster_field(label)
             assert np.sum(f ** 2) * PITCH ** 2 == pytest.approx(1.0)
 
-    def test_rx_gram_identity(self, rx_specs):
-        fields = np.array([raster_field(s).ravel() for s in rx_specs])
+    def test_rx_gram_identity(self):
+        fields = np.array([raster_field(label).ravel() for label in optics.RX_MODES])
         gram = fields @ fields.T * PITCH ** 2
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-3
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-9)
 
     def test_lp11_pair(self):
-        a = raster_field(ModeSpec.lp("LP11a"))
-        b = raster_field(ModeSpec.lp("LP11b"))
+        a = raster_field("LP11a")
+        b = raster_field("LP11b")
         assert abs(np.vdot(a, b)) * PITCH ** 2 < 1e-3
         # degenerate pair: identical azimuthally integrated radial profile
         c = optics._coords(N, PITCH)
@@ -141,38 +96,38 @@ class TestModeFields:
     def test_clipping_guard(self):
         # a 6.4 mm raster
         with pytest.raises(ValueError, match="raster"):
-            raster_field(ModeSpec.lp("LP21a", waist=5e-3), 64, 1e-4)
+            raster_field("LP21a", 64, 1e-4, waist=5e-3)
 
     def test_lg_orthogonality(self):
         # odd grid centers the raster on the axis so the azimuthal factor
         # of LP11a cancels against LP01 exactly; even grids leave an
         # O(1/n) half-pixel residual
         n, pitch = 961, 8.832e-3 / 961
-        lp01 = raster_field(ModeSpec.lp("LP01"), n, pitch)
-        lp11a = raster_field(ModeSpec.lp("LP11a"), n, pitch)
+        lp01 = raster_field("LP01", n, pitch)
+        lp11a = raster_field("LP11a", n, pitch)
         assert abs(np.vdot(lp01, lp11a)) * pitch ** 2 < 1e-6
 
     @pytest.mark.parametrize("n", [N, 961, 30], ids=["bands_fill_raster", "odd", "one_band"])
-    def test_pixels_take_the_whole_raster_bits(self, rx_specs, n):
+    def test_pixels_take_the_whole_raster_bits(self, n):
         # any ascending pixel set, with a partial last band or a raster
         # of fewer rows than one band: the bits at those pixels of the
         # field normalized on the whole raster at once
         pitch = 8.832e-3 / n
+        coords = optics._coords(n, pitch)
         pixels = np.flatnonzero(np.random.default_rng(1).random(n * n) < 0.3)
-        for spec in rx_specs:
+        for label in optics.RX_MODES:
             row = np.full(pixels.size, np.nan)
-            assert mode_field(spec, LGTerms(n, pitch), pixels, row) is row
-            assert_bits_equal(row, full_raster_field(spec, n, pitch).ravel()[pixels])
+            assert mode_field(label, DEFAULT_WAIST, coords, pitch, pixels, row) is row
+            assert_bits_equal(row, full_raster_field(label, n, pitch).ravel()[pixels])
 
 
-def arctan2_field(spec, n, pitch):
+def arctan2_field(label, n, pitch, w=DEFAULT_WAIST):
     """A mode field from the explicit LG formula with e^{j l theta}."""
     c = optics._coords(n, pitch)
     x, y = np.meshgrid(c, c)
     r2 = x ** 2 + y ** 2
-    w = spec.waist
     field = np.zeros(r2.shape, dtype=complex)
-    for p, l, weight in spec.lg_composition:
+    for p, l, weight in LP_TO_LG[label]:
         amp = np.sqrt(2.0 * factorial(p) / (np.pi * factorial(p + abs(l)))) / w
         field += weight * (
             amp
@@ -201,20 +156,24 @@ class TestAzimuthPower:
         n, pitch = 961, 8.832e-3 / 961
         c = n // 2
         assert optics._coords(n, pitch)[c] == 0.0
-        for spec in (ModeSpec.lp(m) for m in optics.RX_MODES):
-            f = raster_field(spec, n, pitch)
-            ref = arctan2_field(spec, n, pitch)
-            assert np.all(np.isfinite(f)), spec.label
-            assert np.max(np.abs(f - ref)) < 1e-12 * np.max(np.abs(ref)), spec.label
-            if all(l != 0 for _, l, _ in spec.lg_composition):
+        for label in optics.RX_MODES:
+            f = raster_field(label, n, pitch)
+            ref = arctan2_field(label, n, pitch)
+            assert np.all(np.isfinite(f)), label
+            assert np.max(np.abs(f - ref)) < 1e-12 * np.max(np.abs(ref)), label
+            if all(l != 0 for _, l, _ in LP_TO_LG[label]):
                 assert f[c, c] == 0
 
     def test_lp_fields_real(self):
-        terms = LGTerms(N, PITCH)
-        for label in optics.LP_TO_LG:
-            spec = ModeSpec.lp(label)
-            field = terms.field(spec.lg_composition, spec.waist, slice(None))
+        coords = optics._coords(N, PITCH)
+        for label in optics.LP_MODES:
+            field = optics._lp_field(label, DEFAULT_WAIST, coords, slice(None))
             assert field.dtype == np.float64, label
+
+    def test_oracle_names_every_label(self):
+        # the oracle table of the LG superpositions and the program's
+        # real-form table name the same LP modes
+        assert list(LP_TO_LG) == list(optics.LP_MODES)
 
 
 class TestModalCoupler:
@@ -227,8 +186,8 @@ class TestModalCoupler:
     def brute_force(cfg, raster):
         n, pitch = cfg.grid_size, cfg.physical_length / cfg.grid_size
         mask = aperture_mask(n, pitch, cfg.aperture_diameter)
-        rx = [raster_field(ModeSpec.lp(m, cfg.waist), n, pitch) for m in cfg.rx_modes]
-        tx = [raster_field(ModeSpec.lp(m, cfg.waist), n, pitch) for m in cfg.tx_modes]
+        rx = [raster_field(m, n, pitch, cfg.waist) for m in cfg.rx_modes]
+        tx = [raster_field(m, n, pitch, cfg.waist) for m in cfg.tx_modes]
         screen = mask * np.exp(1j * raster)
         return np.array(
             [[np.sum(np.conj(a) * screen * b) for b in tx] for a in rx]
@@ -263,25 +222,34 @@ class TestModalCoupler:
             coupler.calibration_spatial, calibrate_columns(blank_ref), rtol=1e-12
         )
 
+    def test_every_lp_label(self):
+        labels = tuple(optics.LP_MODES)
+        # reversed, the receive stack is a copy rather than a view
+        coupler = coupler_of(labels, labels[::-1])
+        assert coupler._tx.dtype == coupler._rx.dtype == np.float64
+        np.testing.assert_array_equal(coupler._rx, coupler._tx[::-1])
+
     def test_screen_grid_mismatch(self):
         coupler = ModalCoupler(ExperimentConfig(grid_size=self.SMALL))
         with pytest.raises(ValueError, match="coupler grid"):
             coupler.coupling(blank_screen())
 
 
-def full_raster_field(spec, n, pitch):
-    """The bit oracle of the banded build: the LG formula of LGTerms on
-    the whole raster at once, normalized by numpy's pairwise sum of the
-    whole squared field, np.add.reduce(np.square(field)) * pitch^2."""
+def full_raster_field(label, n, pitch, w=DEFAULT_WAIST):
+    """The bit oracle of the banded build: the LG superposition of
+    LP_TO_LG[label] on the whole raster at once, each LG(p, +-m) pair
+    with weights a and conj(a) formed in real arithmetic as
+    a Z^m + conj(a Z^m) = 2 Re(a) Re Z^m - 2 Im(a) Im Z^m, normalized by
+    numpy's pairwise sum of the whole squared field,
+    np.add.reduce(np.square(field)) * pitch^2."""
     c = optics._coords(n, pitch)
     x, y = c[None, :], c[:, None]
-    w = spec.waist
     u = (2.0 / w ** 2) * (x ** 2 + y ** 2)
     re_z, im_z = (np.sqrt(2.0) / w) * x, (np.sqrt(2.0) / w) * y
-    weights = optics._lg_weights(spec.lg_composition)
+    weights = {(p, l): weight for p, l, weight in LP_TO_LG[label]}
     parts = []
     for p, m in dict.fromkeys((p, abs(l)) for p, l in weights):
-        a = complex(weights.get((p, m), 0))
+        a = complex(weights[p, m])
         amp = np.sqrt(2.0 * factorial(p) / (np.pi * factorial(p + m))) / w
         radial = amp * optics._genlaguerre(p, m, u) * np.exp(-0.5 * u)
         if m == 0:
@@ -307,8 +275,8 @@ def reference_coupler(n, pitch, tx, rx, raster):
     # one whole-raster field at a time: at the default grid six would
     # hold about 45 MB under the whole product's complex temporaries
     fields = {
-        spec: full_raster_field(spec, n, pitch).ravel()[pixels]
-        for spec in dict.fromkeys(tx + rx)
+        label: full_raster_field(label, n, pitch).ravel()[pixels]
+        for label in dict.fromkeys(tx + rx)
     }
     tx_stack = np.stack([fields[s] for s in tx])
     rx_stack = np.stack([fields[s] for s in rx])
@@ -359,20 +327,17 @@ class TestStackedBuild:
         raster = np.random.default_rng(3).uniform(-np.pi, np.pi, (N, N))
         coupler = coupler_of(tx, rx)
         screen = PhaseScreen(raster=raster, pitch=PITCH)
-        reference = reference_coupler(
-            N, PITCH, [ModeSpec.lp(m) for m in tx], [ModeSpec.lp(m) for m in rx], raster
-        )
+        reference = reference_coupler(N, PITCH, tx, rx, raster)
         self.check(coupler, screen, reference)
 
     def test_default_config_bits(self):
         from mdmfso.harness import realization_screen
 
         cfg = ExperimentConfig(seed=3)
-        tx = [ModeSpec.lp(m) for m in cfg.tx_modes]
-        rx = [ModeSpec.lp(m) for m in cfg.rx_modes]
         screen = realization_screen(cfg, 0)
         reference = reference_coupler(
-            cfg.grid_size, cfg.physical_length / cfg.grid_size, tx, rx, screen.raster
+            cfg.grid_size, cfg.physical_length / cfg.grid_size, cfg.tx_modes, cfg.rx_modes,
+            screen.raster,
         )
         self.check(ModalCoupler(cfg), screen, reference)
 
