@@ -82,19 +82,29 @@ def estimate_phase(y, pilot_times, pilot_symbols, h, window):
     return trajectory
 
 
-def cancel_phase(y_r, phi):
-    """Rotate the received streams by the conjugate of the phase
-    trajectory phi (of the same shape as y_r)."""
-    # exp(-1j * phi) as cos - j sin, bit for bit. Complex products are
-    # not bitwise commutative; the phasor comes first, the order in
-    # which numpy evaluated the former y_r * np.exp(-1j * phi) on
-    # streams past its 256 KiB temporary-elision size.
-    rot = np.empty(np.shape(phi), dtype=complex)
-    np.cos(phi, out=rot.real)
-    np.sin(phi, out=rot.imag)
-    np.negative(rot.imag, out=rot.imag)
-    rot *= np.asarray(y_r)
-    return rot
+def cancel_phase(y_r, phi, out=None):
+    """Rotate the (n_r, T) received streams y_r by the conjugate of the
+    phase trajectory phi of the same shape.
+
+    The rotated streams go to out, a new array when None; out may be
+    y_r itself, which is then rotated in place.
+    """
+    # exp(-1j * phi) as cos - j sin, bit for bit, one row at a time into
+    # one buffer. Complex products are not bitwise commutative; the
+    # phasor comes first, the order in which numpy evaluated the former
+    # y_r * np.exp(-1j * phi) on streams past its 256 KiB
+    # temporary-elision size.
+    y_r = np.asarray(y_r)
+    phi = np.asarray(phi)
+    if out is None:
+        out = np.empty(phi.shape, dtype=complex)
+    rot = np.empty(phi.shape[1], dtype=complex)
+    for k in range(phi.shape[0]):
+        np.cos(phi[k], out=rot.real)
+        np.sin(phi[k], out=rot.imag)
+        np.negative(rot.imag, out=rot.imag)
+        np.multiply(rot, y_r[k], out=out[k])
+    return out
 
 
 def _mmse_weights(h, n0):

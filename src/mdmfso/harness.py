@@ -361,6 +361,11 @@ def decode_stream(y, frame, config, n0, h):
     (n_r, n_t) channel array, which genie-CSI mode decodes with in place
     of the estimate.
 
+    With estimated CSI each frame window of y is phase-rotated in place
+    (see dsp.cancel_phase), so y must be a writeable complex array that
+    the caller no longer needs as received; genie-CSI mode leaves y as
+    it is.
+
     Returns per decoder a dict with per-channel bit errors, squared
     soft errors and data-symbol counts (two bits each), and the frame-0
     decode order.
@@ -383,13 +388,14 @@ def decode_stream(y, frame, config, n0, h):
             # theoretical-reference mode: known channel, no carrier
             # imperfection, so the tracker would only add self-noise
             h_hat = h
-            y_c = y_f
         else:
             h_hat = dsp.estimate_channel(y_f[:, ts_local], sent[:, ts_local])
             phase = dsp.estimate_phase(
                 y_f, pilot_local, sent[:, pilot_local], h_hat, window=config.pilot_window
             )
-            y_c = dsp.cancel_phase(y_f, phase)
+            # the rotated frame takes the place of the received one
+            dsp.cancel_phase(y_f, phase, out=y_f)
+            del phase
         dmask = frame.data_mask[:, sl]
         off_data = ~dmask
         syms = np.count_nonzero(dmask, axis=1)
@@ -398,9 +404,9 @@ def decode_stream(y, frame, config, n0, h):
         for name in config.decoders:
             if name == "mmse":
                 # MMSE decodes every channel at once, in natural order
-                soft, order = dsp.mmse_decode(y_c, h_hat, n0), tuple(range(n_t))
+                soft, order = dsp.mmse_decode(y_f, h_hat, n0), tuple(range(n_t))
             else:
-                soft, order = dsp.sic_decode(y_c, h_hat, n0)
+                soft, order = dsp.sic_decode(y_f, h_hat, n0)
             if acc[name]["order"] is None:
                 acc[name]["order"] = order
             # hard_decision sends a component >= 0 to the bit 0 and any
@@ -452,6 +458,7 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
     y = channel_mod.propagate(frame.symbols, h, phase, n0, _seed(config.seed, 2, realization))
     del phase  # the receiver tracks its own; free the true trajectory
 
+    # y is this call's own: decode_stream may rotate its frames in place
     acc = decode_stream(y, frame, config, n0, h)
     reports = {}
     for name, a in acc.items():

@@ -130,8 +130,10 @@ class PhaseScreen:
 
 def _amplitude(config, level):
     """Coefficient magnitude on the level's frequency grid, rows fy and
-    columns fx: level 0 is the full FFT grid (fft ordering, n/L), level
-    p >= 1 the 3x3 subharmonic grid, each at spacing df = 1/(3^p L).
+    columns fx: level 0 is the (n/2 + 1)^2 quadrant of fft indices
+    0..n/2 of the FFT grid (fft ordering, n/L), level p >= 1 the 3x3
+    subharmonic grid, each at spacing df = 1/(3^p L). The rest of the
+    level-0 grid mirrors the quadrant (see _plan).
 
     The coefficient at (fx, fy) is w * sqrt(0.023) * df * (2/r0)**(5/6)
     * (f^2 + 1/L0^2)**(-11/12) * exp(-f^2 (2 pi l0/5.92)^2 / 2) for a
@@ -141,7 +143,7 @@ def _amplitude(config, level):
     """
     df = 1.0 / (3.0 ** level * config.physical_length)
     if level == 0:
-        f1 = np.fft.fftfreq(config.grid_size, d=config.pitch)
+        f1 = np.fft.fftfreq(config.grid_size, d=config.pitch)[: config.grid_size // 2 + 1]
     else:
         f1 = np.array([-1.0, 0.0, 1.0]) * df
     f2 = f1[None, :] ** 2 + f1[:, None] ** 2
@@ -168,14 +170,20 @@ def _plan(config):
     and that block's sampling correction, which is exactly 1 outside the
     block. Folding the sign in is exact: a product with -1 only flips a
     sign bit, so draws * (amp * sign) * corr has the bits of
-    draws * amp * corr * sign. levels holds, per subharmonic level p, its
-    (3, 3) amplitude and sampling correction and its frequencies
-    [-1, 0, 1] / (3^p L). The (N, 3) pixel exponentials stay per screen:
-    held here, they raised the peak RSS of one screen and of threaded
-    batches. Every array is read-only.
+    draws * amp * corr * sign. amp holds only the (n/2 + 1)^2 quadrant of
+    indices 0..n/2: fftfreq gives index n - j the exact negative of index
+    j's frequency, so f^2 and the amplitude keep their bits under
+    j -> n - j on either axis, and for even n so does the parity sign;
+    generate_screen reads the other three quadrants as mirrored views.
+    levels holds, per subharmonic level p, its (3, 3) amplitude and
+    sampling correction and its frequencies [-1, 0, 1] / (3^p L). The
+    (N, 3) pixel exponentials stay per screen: held here, they raised
+    the peak RSS of one screen and of threaded batches. Every array is
+    read-only.
     """
     n = config.grid_size
-    sign = 1.0 - 2.0 * (np.arange(n) % 2)  # index and fft frequency share parity
+    # index and fft frequency share parity
+    sign = 1.0 - 2.0 * (np.arange(n // 2 + 1) % 2)
     amp = _amplitude(config, 0)
     amp *= sign[None, :]
     amp *= sign[:, None]
@@ -271,17 +279,26 @@ def generate_screen(config):
     piston removed; the amplitudes and corrections come from _plan. The
     coordinates x_j = (j - N/2) * pitch fold the -L/2 offset into the
     level-0 coefficients as the sign exp(-j pi n_int), which _plan
-    carries in its amplitude. The eight (by default) subharmonic levels
-    enter as one real (N, 6 * levels) @ (6 * levels, N) product, the
-    same terms as level-by-level complex products summed in another
-    order; the draws are scaled in place (see _complex_draws).
+    carries in its amplitude. That amplitude is the quadrant of indices
+    0..N/2; the level-0 draws are scaled through it and its three
+    mirrored views (index N - j reads index j), each coefficient by the
+    same float as through the full grid. The eight (by default)
+    subharmonic levels enter as one real (N, 6 * levels) @
+    (6 * levels, N) product, the same terms as level-by-level complex
+    products summed in another order; the draws are scaled in place (see
+    _complex_draws).
     """
     n = config.grid_size
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     (amp, cells, corr), levels = _plan(replace(config, seed=0))
 
     c0 = _complex_draws(rng, (n, n))
-    c0 *= amp
+    # indices h + 1 .. n - 1 read the quadrant's h - 1 .. 1
+    h = n // 2
+    c0[: h + 1, : h + 1] *= amp
+    c0[: h + 1, h + 1 :] *= amp[:, h - 1 : 0 : -1]
+    c0[h + 1 :, : h + 1] *= amp[h - 1 : 0 : -1, :]
+    c0[h + 1 :, h + 1 :] *= amp[h - 1 : 0 : -1, h - 1 : 0 : -1]
     c0[0, 0] = 0.0
     c0[cells] *= corr
     # ifft2(c0) in place, last axis first as ifft2 runs its passes
@@ -427,18 +444,20 @@ def structure_function(screens, separations):
         phi = screen.raster
         n = phi.shape[0]
         # per separation, the differences along each axis are written
-        # into a contiguous view of one buffer, shaped as the fresh
-        # arrays of phi[:, k:] - phi[:, :-k] would be, so that the
-        # means sum in the same order
-        x_buf, y_buf = np.empty(phi.size), np.empty(phi.size)
+        # in turn into a contiguous view of one buffer, shaped as the
+        # fresh arrays of phi[:, k:] - phi[:, :-k] would be, so that the
+        # means sum in the same order; the x mean is taken before the y
+        # differences overwrite the buffer
+        buf = np.empty(phi.size)
         out = np.empty(len(shifts))
         for i, k in enumerate(shifts):
             size = n * (n - k)
-            dx = np.subtract(phi[:, k:], phi[:, :-k], out=x_buf[:size].reshape(n, n - k))
-            dy = np.subtract(phi[k:, :], phi[:-k, :], out=y_buf[:size].reshape(n - k, n))
+            dx = np.subtract(phi[:, k:], phi[:, :-k], out=buf[:size].reshape(n, n - k))
             np.square(dx, out=dx)
+            mean_x = np.mean(dx)
+            dy = np.subtract(phi[k:, :], phi[:-k, :], out=buf[:size].reshape(n - k, n))
             np.square(dy, out=dy)
-            out[i] = 0.5 * (np.mean(dx) + np.mean(dy))
+            out[i] = 0.5 * (mean_x + np.mean(dy))
         return out
 
     d = np.zeros(len(shifts))

@@ -174,7 +174,13 @@ class TestCancelPhase:
             # phasor first (complex products are not bitwise commutative)
             old = np.exp(-1j * phi)
             old *= y_r
-            assert np.array_equal(cancel_phase(y_r, phi).view(np.uint64), old.view(np.uint64))
+            kept = y_r.copy()
+            got = cancel_phase(y_r, phi)
+            assert np.array_equal(got.view(np.uint64), old.view(np.uint64))
+            # out of place leaves y_r as it was; in place gives the same bits
+            assert np.array_equal(y_r.view(np.uint64), kept.view(np.uint64))
+            assert cancel_phase(y_r, phi, out=y_r) is y_r
+            assert np.array_equal(y_r.view(np.uint64), old.view(np.uint64))
 
 
 class TestHardDecision:

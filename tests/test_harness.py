@@ -651,7 +651,7 @@ class TestMemoryBudget:
         h = coupler.channel_matrix(realization_screen(cfg, 0))
         frame = harness.build_frames(cfg)
         del coupler
-        assert traced_peak_mb(run_realization, cfg, 0, h=h, frame=frame) <= 40.0
+        assert traced_peak_mb(run_realization, cfg, 0, h=h, frame=frame) <= 28.0
 
     def test_coupler_build(self):
         # the aperture stack and pixel indices (about 37 MB) and one
@@ -674,6 +674,15 @@ class TestMemoryBudget:
         cfg = ExperimentConfig().screen_config()
         screens.generate_screen(cfg)
         assert traced_peak_mb(screens.generate_screen, replace(cfg, seed=1)) <= 23.0
+
+    def test_structure_function(self, set_workers):
+        # one difference buffer of the raster's size per screen in flight
+        set_workers(1)
+        cfg = ExperimentConfig().screen_config()
+        screen = screens.generate_screen(cfg)
+        # the `mdmfso stats` separations, 5 pitches to L/5
+        seps = np.unique(np.round(np.geomspace(5, 0.2 * cfg.grid_size, 12)).astype(int))
+        assert traced_peak_mb(screens.structure_function, [screen], seps * cfg.pitch) <= 8.5
 
 
 def reference_scores(frame, config, results):

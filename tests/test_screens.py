@@ -248,7 +248,9 @@ def per_level_screen(config):
 
 class TestSynthesisReference:
     @pytest.mark.parametrize("levels", [0, 8])
-    @pytest.mark.parametrize("grid", [16, 128, 960])
+    # 18: n/2 = 9 is odd, so the Nyquist row and column, which the
+    # quadrant's mirrored views leave out, carry the sign -1
+    @pytest.mark.parametrize("grid", [16, 18, 128, 960])
     def test_bits_equal_reference(self, grid, levels):
         seeds = (0, 7, sub_seed(5, 3)) if grid < 960 else (1, sub_seed(9, 0))
         # the Kolmogorov limit, whose zero-frequency amplitudes are infinite
@@ -279,7 +281,8 @@ class TestSynthesisReference:
     def test_cached_weights_read_only(self):
         generate_screen(SMALL)
         (amp, cells, corr), levels = screens._plan(replace(SMALL, seed=0))
-        assert amp.shape == (128, 128) and corr.shape == (17, 17)
+        # the level-0 amplitude is held as its quadrant of indices 0..n/2
+        assert amp.shape == (65, 65) and corr.shape == (17, 17)
         assert [[a.shape for a in level] for level in levels] == [[(3, 3), (3, 3), (3,)]] * 3
         for a in (amp, *cells, corr, *itertools.chain(*levels)):
             assert not a.flags.writeable
