@@ -19,6 +19,7 @@ calibration applied to the real part is therefore 2**(-1/3).
 """
 
 from collections import deque
+import ctypes
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
@@ -362,7 +363,9 @@ def _ordered_map(fn, items):
     Results do not depend on the worker count as long as fn does not
     depend on the order of calls. The caller takes a worker's share
     because each pool thread adds a malloc arena that keeps the memory
-    its work freed.
+    its work freed. The stats-path maps hand it back after each item
+    (see _trimmed); monte_carlo and sweep_osnr do not, as their peak is
+    two items' live working sets, which a trim does not lower.
     """
     workers = min(_usable_cpus(), MAX_WORKERS)
     if workers < 2:
@@ -394,18 +397,60 @@ def _ordered_map(fn, items):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _find_malloc_trim():
+    """The C library's malloc_trim, or None where it has none (it is a
+    glibc function)."""
+    try:
+        fn = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    fn.argtypes = [ctypes.c_size_t]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
+def _trim():
+    """Hand the free pages of every malloc arena back to the OS, through
+    malloc_trim(0); a no-op without that function.
+
+    The stats-path maps call it after each item, once the item's
+    transients are freed: a worker thread's arena otherwise keeps those
+    pages resident around the rasters the batch holds.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+def _trimmed(fn):
+    """fn, followed by _trim() once the item's call has returned and its
+    transients are freed."""
+
+    def call(item):
+        result = fn(item)
+        _trim()
+        return result
+
+    return call
+
+
 def iter_screens(config, count):
     """Stream the ensemble of config as (member config, screen) pairs.
 
     Member i is config with seed sub_seed(config.seed, i); this is the
     one place that rule lives. The count is checked before any screen
     is generated. Members are synthesized ahead on worker threads (see
-    _ordered_map) and come out in member order.
+    _ordered_map) and come out in member order. After each member its
+    worker returns the synthesis's freed transients to the OS (see
+    _trim), so a batch that keeps its rasters does not also keep those
+    pages resident around them.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     members = (replace(config, seed=sub_seed(config.seed, i)) for i in range(count))
-    return _ordered_map(lambda member: (member, generate_screen(member)), members)
+    return _ordered_map(_trimmed(lambda member: (member, generate_screen(member))), members)
 
 
 def batch_generate(config, count):
@@ -421,7 +466,8 @@ def structure_function(screens, separations):
     smaller than half the screen). `screens` may be any iterable, such
     as an iter_screens stream, and is read once. Each screen's terms are
     computed on worker threads and summed in screen order, so the result
-    does not depend on the worker count.
+    does not depend on the worker count; each worker returns a term's
+    freed difference buffer to the OS (see _trim).
     """
     stream = iter(screens)
     first = next(stream, None)
@@ -463,7 +509,7 @@ def structure_function(screens, separations):
     d = np.zeros(len(shifts))
     stream = chain([first], stream)
     del first  # hold only the screens in flight
-    for count, t in enumerate(_ordered_map(terms, stream), start=1):
+    for count, t in enumerate(_ordered_map(_trimmed(terms), stream), start=1):
         d += t
     return rs, d / count
 

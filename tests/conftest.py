@@ -13,8 +13,12 @@ def pytest_report_header(config):
     # build and the thread setting at a glance
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    # the stats-path maps return freed memory to the OS only through
+    # malloc_trim, so the peak RSS printed below depends on it
+    trim = "found" if screens._MALLOC_TRIM is not None else "not found"
     return [
-        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}",
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+        f"malloc_trim {trim}",
         f"os.cpu_count() {os.cpu_count()}, OPENBLAS_NUM_THREADS {threads}",
     ]
 
@@ -35,3 +39,11 @@ def set_workers(monkeypatch):
         monkeypatch.setattr(screens, "MAX_WORKERS", n)
 
     return set_to
+
+
+@pytest.fixture()
+def trim_calls(monkeypatch):
+    """Replace screens._trim with a counter; returns the list it appends to."""
+    calls = []
+    monkeypatch.setattr(screens, "_trim", lambda: calls.append(None))
+    return calls

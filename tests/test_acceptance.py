@@ -33,7 +33,7 @@ from mdmfso.harness import (
     scintillation_stats,
     sweep_osnr,
 )
-from mdmfso.optics import ModalCoupler
+from mdmfso.optics import ModalCoupler, polarization_expand
 
 SEED = 0
 ENSEMBLE = 120
@@ -57,21 +57,34 @@ def errors(report):
 @pytest.fixture(scope="session")
 def strong_ensemble():
     """The 120 strong-turbulence screens that monte_carlo draws, each
-    made once and coupled through every mode set's own coupler.
+    made once and coupled once through every mode set's own coupler.
 
     Returns the config of each mode set, its channel matrix per
     realization (as monte_carlo(config) would build them) and the
-    default coupler's captured power per screen. Only the screens in
-    flight on the worker map are held, not the 885 MB ensemble.
+    default coupler's captured power per screen, both formed from that
+    one coupling as channel_matrix and captured_power form them (checked
+    bit for bit on realization 0). Only the screens in flight on the
+    worker map are held, not the 885 MB ensemble.
     """
     base = ExperimentConfig(seed=SEED, realizations=ENSEMBLE)
     configs = {key: replace(base, **modes) for key, modes in MODE_SETS.items()}
     couplers = {key: ModalCoupler(cfg) for key, cfg in configs.items()}
+    default = couplers[(10, 12)]
 
     def couple(r):
         screen = realization_screen(base, r)
-        channels = {key: c.channel_matrix(screen) for key, c in couplers.items()}
-        return channels, couplers[(10, 12)].captured_power(screen)
+        channels, power = {}, None
+        for key, c in couplers.items():
+            m = c.coupling(screen)
+            channels[key] = polarization_expand(m, np.repeat(c.calibration_spatial, 2))
+            if c is default:
+                m = m * c.calibration_spatial[None, :]
+                power = float(np.linalg.norm(m) ** 2 / len(c.calibration_spatial))
+        if r == 0:
+            for key, c in couplers.items():
+                assert channels[key].tobytes() == c.channel_matrix(screen).tobytes()
+            assert power == default.captured_power(screen)
+        return channels, power
 
     channels = {key: [] for key in configs}
     powers = []

@@ -433,6 +433,37 @@ class TestWorkerInvariance:
         assert np.array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
 
 
+class TestTrim:
+    """The stats-path maps return their freed memory to the OS after each
+    item, and compute the same values where malloc_trim is missing."""
+
+    SEPS = np.array([1, 3, 9]) * SMALL.pitch
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_once_per_member(self, set_workers, trim_calls, workers):
+        set_workers(workers)
+        assert len(list(iter_screens(SMALL, 5))) == 5
+        assert len(trim_calls) == 5
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_once_per_structure_function_screen(self, set_workers, trim_calls, workers):
+        set_workers(workers)
+        batch = batch_generate(SMALL, 4)
+        trim_calls.clear()
+        structure_function(batch, self.SEPS)
+        assert len(trim_calls) == 4
+
+    def test_same_values_without_malloc_trim(self, monkeypatch):
+        runs = []
+        for handle in (screens._MALLOC_TRIM, None):
+            monkeypatch.setattr(screens, "_MALLOC_TRIM", handle)
+            batch = [s for _, s in iter_screens(SMALL, 3)]
+            _, d = structure_function(batch, self.SEPS)
+            runs.append((np.stack([s.raster for s in batch]), d))
+        for a, b in zip(*runs, strict=True):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestStructureFunction:
     def test_pure_tilt(self):
         # phi = a*x has D(r) = a^2 r^2 exactly along x, 0 along y
