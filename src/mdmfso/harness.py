@@ -634,11 +634,9 @@ def scintillation_stats(ensemble, config):
     """power_statistics of the captured-power proxy of each screen (see
     ModalCoupler.captured_power), computed on worker threads in screen
     order. `ensemble` may be any iterable of screens, such as a list or
-    a generator over an iter_screens stream, and is read once. After
-    each screen its worker returns the coupling's freed transients to
-    the OS (see screens._trim)."""
+    a generator over an iter_screens stream, and is read once."""
     coupler = ModalCoupler(config)
-    powers = list(screens._ordered_map(screens._trimmed(coupler.captured_power), ensemble))
+    powers = list(screens._ordered_map(coupler.captured_power, ensemble))
     _check_stats_count(len(powers))
     return power_statistics(powers)
 

@@ -363,9 +363,10 @@ def _ordered_map(fn, items):
     Results do not depend on the worker count as long as fn does not
     depend on the order of calls. The caller takes a worker's share
     because each pool thread adds a malloc arena that keeps the memory
-    its work freed. The stats-path maps hand it back after each item
-    (see _trimmed); monte_carlo and sweep_osnr do not, as their peak is
-    two items' live working sets, which a trim does not lower.
+    its work freed. Only batch_generate hands that memory back (see
+    _trim), as its list keeps rasters alive among the freed pages; on a
+    stream a trim makes the next item fault in again the pages it would
+    have reused.
     """
     workers = min(_usable_cpus(), MAX_WORKERS)
     if workers < 2:
@@ -414,26 +415,9 @@ _MALLOC_TRIM = _find_malloc_trim()
 
 def _trim():
     """Hand the free pages of every malloc arena back to the OS, through
-    malloc_trim(0); a no-op without that function.
-
-    The stats-path maps call it after each item, once the item's
-    transients are freed: a worker thread's arena otherwise keeps those
-    pages resident around the rasters the batch holds.
-    """
+    malloc_trim(0); a no-op without that function."""
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
-
-
-def _trimmed(fn):
-    """fn, followed by _trim() once the item's call has returned and its
-    transients are freed."""
-
-    def call(item):
-        result = fn(item)
-        _trim()
-        return result
-
-    return call
 
 
 def iter_screens(config, count):
@@ -442,20 +426,27 @@ def iter_screens(config, count):
     Member i is config with seed sub_seed(config.seed, i); this is the
     one place that rule lives. The count is checked before any screen
     is generated. Members are synthesized ahead on worker threads (see
-    _ordered_map) and come out in member order. After each member its
-    worker returns the synthesis's freed transients to the OS (see
-    _trim), so a batch that keeps its rasters does not also keep those
-    pages resident around them.
+    _ordered_map) and come out in member order.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     members = (replace(config, seed=sub_seed(config.seed, i)) for i in range(count))
-    return _ordered_map(_trimmed(lambda member: (member, generate_screen(member))), members)
+    return _ordered_map(lambda member: (member, generate_screen(member)), members)
 
 
 def batch_generate(config, count):
-    """The `count` screens of iter_screens(config, count) as a list."""
-    return [screen for _, screen in iter_screens(config, count)]
+    """The `count` screens of iter_screens(config, count) as a list.
+
+    After each member it hands the free pages of every malloc arena back
+    to the OS (see _trim). Each synthesis frees its transients among the
+    rasters the list keeps alive, and the worker arenas would otherwise
+    keep those pages resident around them.
+    """
+    batch = []
+    for _, screen in iter_screens(config, count):
+        batch.append(screen)
+        _trim()
+    return batch
 
 
 def structure_function(screens, separations):
@@ -466,8 +457,7 @@ def structure_function(screens, separations):
     smaller than half the screen). `screens` may be any iterable, such
     as an iter_screens stream, and is read once. Each screen's terms are
     computed on worker threads and summed in screen order, so the result
-    does not depend on the worker count; each worker returns a term's
-    freed difference buffer to the OS (see _trim).
+    does not depend on the worker count.
     """
     stream = iter(screens)
     first = next(stream, None)
@@ -509,7 +499,7 @@ def structure_function(screens, separations):
     d = np.zeros(len(shifts))
     stream = chain([first], stream)
     del first  # hold only the screens in flight
-    for count, t in enumerate(_ordered_map(_trimmed(terms), stream), start=1):
+    for count, t in enumerate(_ordered_map(terms, stream), start=1):
         d += t
     return rs, d / count
 

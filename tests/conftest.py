@@ -13,7 +13,7 @@ def pytest_report_header(config):
     # build and the thread setting at a glance
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    # the stats-path maps return freed memory to the OS only through
+    # batch_generate returns freed memory to the OS only through
     # malloc_trim, so the peak RSS printed below depends on it
     trim = "found" if screens._MALLOC_TRIM is not None else "not found"
     return [

@@ -61,10 +61,13 @@ def strong_ensemble():
 
     Returns the config of each mode set, its channel matrix per
     realization (as monte_carlo(config) would build them) and the
-    default coupler's captured power per screen, both formed from that
-    one coupling as channel_matrix and captured_power form them (checked
-    bit for bit on realization 0). Only the screens in flight on the
-    worker map are held, not the 885 MB ensemble.
+    default coupler's captured power per screen. Both come from that one
+    coupling through copies, kept here, of the expressions with which
+    ModalCoupler.channel_matrix and captured_power form them, so the
+    criteria that read this fixture (02, 05 and 08) check the copies;
+    realization 0 checks the copies against both methods bit for bit.
+    Only the screens in flight on the worker map are held, not the
+    885 MB ensemble.
     """
     base = ExperimentConfig(seed=SEED, realizations=ENSEMBLE)
     configs = {key: replace(base, **modes) for key, modes in MODE_SETS.items()}

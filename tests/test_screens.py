@@ -434,30 +434,24 @@ class TestWorkerInvariance:
 
 
 class TestTrim:
-    """The stats-path maps return their freed memory to the OS after each
-    item, and compute the same values where malloc_trim is missing."""
+    """batch_generate returns its freed memory to the OS after each
+    member, and its values are the same where malloc_trim is missing.
+    That streams do not trim is checked on screen_statistics in
+    test_harness."""
 
     SEPS = np.array([1, 3, 9]) * SMALL.pitch
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_once_per_member(self, set_workers, trim_calls, workers):
+    def test_once_per_batch_member(self, set_workers, trim_calls, workers):
         set_workers(workers)
-        assert len(list(iter_screens(SMALL, 5))) == 5
+        assert len(batch_generate(SMALL, 5)) == 5
         assert len(trim_calls) == 5
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_once_per_structure_function_screen(self, set_workers, trim_calls, workers):
-        set_workers(workers)
-        batch = batch_generate(SMALL, 4)
-        trim_calls.clear()
-        structure_function(batch, self.SEPS)
-        assert len(trim_calls) == 4
 
     def test_same_values_without_malloc_trim(self, monkeypatch):
         runs = []
         for handle in (screens._MALLOC_TRIM, None):
             monkeypatch.setattr(screens, "_MALLOC_TRIM", handle)
-            batch = [s for _, s in iter_screens(SMALL, 3)]
+            batch = batch_generate(SMALL, 3)
             _, d = structure_function(batch, self.SEPS)
             runs.append((np.stack([s.raster for s in batch]), d))
         for a, b in zip(*runs, strict=True):
