@@ -7,9 +7,10 @@ ordering.
 
 A leaf module: it imports no other mdmfso module, and every channel
 argument h is a plain (n_r, n_t) array, such as estimate_channel returns.
-mmse_decode returns the (n_t, T) soft output and sic_decode the soft
-output and its decode order; hard decisions are hard_decision of the
-soft output.
+cancel_phase rotates the received streams in place. mmse_decode returns
+the (n_t, T) soft output and sic_decode the soft output and its decode
+order; sic_decode's stage-1 row is formed from h exactly as mmse_decode
+forms it. Hard decisions are hard_decision of the soft output.
 """
 
 import numpy as np
@@ -82,37 +83,34 @@ def estimate_phase(y, pilot_times, pilot_symbols, h, window):
     return trajectory
 
 
-def cancel_phase(y_r, phi, out=None):
-    """Rotate the (n_r, T) received streams y_r by the conjugate of the
-    phase trajectory phi of the same shape.
+def cancel_phase(y_r, phi):
+    """Rotate the (n_r, T) received streams y_r in place by the conjugate
+    of the phase trajectory phi of the same shape, and return y_r.
 
-    The rotated streams go to out, a new array when None; out may be
-    y_r itself, which is then rotated in place.
+    y_r must be a writeable complex array.
     """
     # exp(-1j * phi) as cos - j sin, bit for bit, one row at a time into
     # one buffer. Complex products are not bitwise commutative; the
     # phasor comes first, the order in which numpy evaluated the former
     # y_r * np.exp(-1j * phi) on streams past its 256 KiB
     # temporary-elision size.
-    y_r = np.asarray(y_r)
     phi = np.asarray(phi)
-    if out is None:
-        out = np.empty(phi.shape, dtype=complex)
     rot = np.empty(phi.shape[1], dtype=complex)
     for k in range(phi.shape[0]):
         np.cos(phi[k], out=rot.real)
         np.sin(phi[k], out=rot.imag)
         np.negative(rot.imag, out=rot.imag)
-        np.multiply(rot, y_r[k], out=out[k])
-    return out
+        np.multiply(rot, y_r[k], out=y_r[k])
+    return y_r
 
 
 def _mmse_weights(h, n0):
     """Columns of (H H^H + n0 I)^-1 H, the per-channel MMSE combiners.
 
-    Shared by mmse_decode and sic_decode so that the SIC first stage is
-    bit-exactly the MMSE soft output. At n0 = 0 a singular H H^H is
-    regularized with n0 = MMSE_REGULARIZATION.
+    Shared by mmse_decode and sic_decode, whose stage-1 soft output is
+    formed from them as mmse_decode forms its own, so that the two are
+    equal bit for bit. At n0 = 0 a singular H H^H is regularized with
+    n0 = MMSE_REGULARIZATION.
     """
     n_r = h.shape[0]
     gram = h @ h.conj().T
@@ -158,10 +156,9 @@ def _sic_stages(h, n0):
     pass.
 
     Stage s combines against the columns not decoded before it, kept in
-    index order, so stage 1 combines against H itself. The decoded
+    index order, so stage 1 combines against all of H. The decoded
     channel of each stage is the remaining channel of highest
-    post-detection SINR (ties to the lowest index). Returns (order,
-    first, w): first holds the stage-1 combiners of every channel and
+    post-detection SINR (ties to the lowest index). Returns (order, w):
     w[:, s] is the combiner of stage s.
     """
     n_r, n_t = h.shape
@@ -175,10 +172,8 @@ def _sic_stages(h, n0):
         pos = int(np.argmax(stage_sinr))
         k = remaining.pop(pos)
         picked.append(k)
-        if s == 0:
-            first = w_s
         w[:, s] = w_s[:, pos]
-    return tuple(picked), first, w
+    return tuple(picked), w
 
 
 def sic_order(h, n0):
@@ -200,9 +195,9 @@ def sic_decode(y, h, n0):
     c = W^H H[:, order], stage s's soft output is
     w_s^H (y - sum_{j<s} h_j hard_j) = z_s - sum_{j<s} c_sj hard_j, so
     the received stream is neither rebuilt nor combined again per stage.
-    Stage 1 cancels nothing; its row comes from the full product of the
-    stage-1 (MMSE) combiners with y, formed as in mmse_decode, so it
-    equals the MMSE soft output bit for bit. Returns (soft, order): the
+    Stage 1 cancels nothing; its row comes from the MMSE soft output,
+    formed from the caller's h exactly as mmse_decode forms it, so the
+    two are equal bit for bit. Returns (soft, order): the
     (n_t, T) soft output and the decode order of the transmit channels.
     """
     y = np.asarray(y)
@@ -210,11 +205,11 @@ def sic_decode(y, h, n0):
     if n0 < 0:
         raise ValueError("n0 must be >= 0")
     n_t = h.shape[1]
-    order, first, w = _sic_stages(h, n0)
+    order, w = _sic_stages(h, n0)
 
     # the MMSE soft output, whose row order[0] is stage 1's; the rows of
     # later stages are replaced in turn. hard holds one row per stage.
-    soft = first.conj().T @ y
+    soft = _mmse_weights(h, n0).conj().T @ y
     z = w[:, 1:].conj().T @ y
     c = w.conj().T @ h[:, order]
     hard = np.empty_like(soft)

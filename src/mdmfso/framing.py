@@ -57,17 +57,9 @@ def qpsk_map(bits):
     bits = np.asarray(bits)
     if bits.size % 2 != 0:
         raise ValueError("bit count must be even")
-    pairs = bits.reshape(-1, 2)
-    idx = np.select(
-        [
-            (pairs[:, 0] == 0) & (pairs[:, 1] == 0),
-            (pairs[:, 0] == 0) & (pairs[:, 1] == 1),
-            (pairs[:, 0] == 1) & (pairs[:, 1] == 1),
-        ],
-        [0, 1, 2],
-        default=3,
-    )
-    return QPSK[idx]
+    b0, b1 = bits.reshape(-1, 2).T
+    # (0,0), (0,1), (1,1), (1,0) -> QPSK[0], ..., QPSK[3]
+    return QPSK[2 * b0 + (b0 ^ b1)]
 
 
 def qpsk_demap(symbols):

@@ -26,6 +26,9 @@ realizations and OSNR points then run on the ordered worker map of
 screens._ordered_map, in input order. screen_statistics builds one
 coupler and makes one pass over a streamed screen ensemble, which
 yields both the structure function and the captured-power statistics.
+Every caller couples a screen once, with ModalCoupler.coupling, and
+reads the channel or the captured power from that coupling. A
+genie-CSI realization draws no laser phase: it propagates with none.
 
 A realization's screen is made in one place, build_channel (through
 realization_screen). Several mode sets share one turbulence ensemble by
@@ -326,7 +329,7 @@ def build_channel(config, realization, coupler=None):
         screen = realization_screen(config, realization)
     if coupler is None:
         coupler = ModalCoupler(config)
-    return coupler.channel_matrix(screen)
+    return coupler.channel_matrix(None if screen is None else coupler.coupling(screen))
 
 
 def build_frames(config):
@@ -394,7 +397,7 @@ def decode_stream(y, frame, config, n0, h):
                 y_f, pilot_local, sent[:, pilot_local], h_hat, window=config.pilot_window
             )
             # the rotated frame takes the place of the received one
-            dsp.cancel_phase(y_f, phase, out=y_f)
+            dsp.cancel_phase(y_f, phase)
             del phase
         dmask = frame.data_mask[:, sl]
         off_data = ~dmask
@@ -448,13 +451,13 @@ def run_realization(config, realization=0, coupler=None, h=None, frame=None):
     if frame is None:
         frame = build_frames(config)
     n0 = channel_mod.osnr_to_n0(config.osnr_db, config.baud)
-    phase = channel_mod.wiener_phase(
-        frame.n_symbols,
-        config.n_r,
-        0.0 if config.genie_csi else config.linewidth,
-        config.baud,
-        _seed(config.seed, 1, realization),
-    )
+    # genie CSI has no carrier imperfection, so no laser phase is drawn
+    phase = None
+    if not config.genie_csi:
+        phase = channel_mod.wiener_phase(
+            frame.n_symbols, config.n_r, config.linewidth, config.baud,
+            _seed(config.seed, 1, realization),
+        )
     y = channel_mod.propagate(frame.symbols, h, phase, n0, _seed(config.seed, 2, realization))
     del phase  # the receiver tracks its own; free the true trajectory
 
@@ -636,7 +639,9 @@ def scintillation_stats(ensemble, config):
     order. `ensemble` may be any iterable of screens, such as a list or
     a generator over an iter_screens stream, and is read once."""
     coupler = ModalCoupler(config)
-    powers = list(screens._ordered_map(coupler.captured_power, ensemble))
+    powers = list(
+        screens._ordered_map(lambda s: coupler.captured_power(coupler.coupling(s)), ensemble)
+    )
     _check_stats_count(len(powers))
     return power_statistics(powers)
 
@@ -657,7 +662,7 @@ def screen_statistics(config, count):
 
     def captured(stream):
         for _, screen in stream:
-            powers.append(coupler.captured_power(screen))
+            powers.append(coupler.captured_power(coupler.coupling(screen)))
             yield screen
 
     k_max = 0.2 * base.physical_length / base.pitch

@@ -13,8 +13,10 @@ mode_field is the one field path. ModalCoupler is the one coupling
 implementation, built from an ExperimentConfig by its one constructor:
 it evaluates each distinct label once, in bands of raster rows, keeps
 it only on the aperture's pixels, and reduces each screen to one pass
-over those pixels in real arithmetic. The channel leaves this module as
-a plain (n_r, n_t) complex array.
+over those pixels in real arithmetic, coupling(screen). Its two readers,
+channel_matrix and captured_power, take that spatial coupling, so a
+caller that needs both couples the screen once. The channel leaves this
+module as a plain (n_r, n_t) complex array.
 """
 
 from math import factorial
@@ -204,15 +206,17 @@ class ModalCoupler:
             sin_part += rx @ (tx * np.sin(phi)).T
         return (cos_part + 1j * sin_part) * self._pitch2
 
-    def captured_power(self, screen):
-        """Captured-power proxy through one screen: the squared Frobenius
-        norm of the calibrated coupling, averaged over transmit modes."""
-        m = self.coupling(screen) * self.calibration_spatial[None, :]
+    def captured_power(self, m):
+        """Captured-power proxy of the spatial coupling m of one screen
+        (see coupling): the squared Frobenius norm of the calibrated
+        coupling, averaged over transmit modes."""
+        m = m * self.calibration_spatial[None, :]
         return float(np.linalg.norm(m) ** 2 / len(self.calibration_spatial))
 
-    def channel_matrix(self, screen=None):
-        """Calibrated polarization-expanded channel array; blank when screen is None."""
-        m = self.blank_coupling if screen is None else self.coupling(screen)
+    def channel_matrix(self, m=None):
+        """Calibrated polarization-expanded channel array of the spatial
+        coupling m of one screen (see coupling); blank when m is None."""
+        m = self.blank_coupling if m is None else m
         return polarization_expand(m, np.repeat(self.calibration_spatial, 2))
 
 

@@ -23,11 +23,48 @@ def pytest_report_header(config):
     ]
 
 
-def pytest_terminal_summary(terminalreporter):
+# the (criterion, statistic, value, bound) rows that the acceptance
+# tests record through the `criterion` fixture, in the order recorded
+_CRITERIA = pytest.StashKey[list]()
+
+
+def pytest_configure(config):
+    config.stash[_CRITERIA] = []
+
+
+def _format_value(value):
+    value = np.asarray(value)
+    if value.ndim:
+        return np.array2string(value, precision=4, max_line_width=200)
+    return f"{value.item():.4g}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # every acceptance statistic in one block, so that a -q run shows
+    # the values, failing criteria's included, without -s
+    rows = config.stash[_CRITERIA]
+    if rows:
+        terminalreporter.write_sep("-", "acceptance criteria: statistic = value (bound)")
+        for criterion, statistic, value, bound in rows:
+            terminalreporter.write_line(
+                f"{criterion}  {statistic} = {_format_value(value)}  ({bound})"
+            )
     # the memory the suite needs, read off every run; ru_maxrss is in KiB
     # on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     terminalreporter.write_line(f"peak RSS of the pytest process: {peak:.0f} MiB")
+
+
+@pytest.fixture(scope="session")
+def criterion(pytestconfig):
+    """record(criterion, statistic, value, bound): one row of the block
+    that the terminal summary prints. A test records a value before it
+    asserts on it."""
+
+    def record(criterion, statistic, value, bound):
+        pytestconfig.stash[_CRITERIA].append((criterion, statistic, value, bound))
+
+    return record
 
 
 @pytest.fixture()

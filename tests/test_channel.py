@@ -116,6 +116,18 @@ class TestPropagate:
         ones = propagate(np.ones((1, phase.shape[1]), complex), np.ones((3, 1)), phase, 0.0, 0)
         assert np.array_equal(ones.view(np.uint64), np.exp(1j * phase).view(np.uint64))
 
+    @pytest.mark.parametrize("n0", [0.04, 1e-3])
+    def test_zero_phase_same_bits_as_none(self, n0):
+        # a zero phase, whether zeros or a zero-linewidth walk, rotates by
+        # exactly 1 + 0j: phase=None, which genie CSI passes, moves no bit
+        rng = np.random.default_rng(14)
+        s = rng.standard_normal((2, 500)) + 1j * rng.standard_normal((2, 500))
+        h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        none = propagate(s, h, None, n0, 7)
+        for phase in (np.zeros((3, 500)), wiener_phase(500, 3, 0.0, DEFAULT_BAUD, 8)):
+            y = propagate(s, h, phase, n0, 7)
+            assert np.array_equal(y.view(np.uint64), none.view(np.uint64))
+
     def test_noise_variance(self):
         s = np.zeros((2, 200000), dtype=complex)
         y = propagate(s, np.eye(2), None, 0.04, 9)

@@ -52,6 +52,12 @@ class TestQpsk:
         s = qpsk_map([0, 0, 1, 1])
         np.testing.assert_allclose(s, [(1 + 1j) / np.sqrt(2), (-1 - 1j) / np.sqrt(2)])
 
+    def test_map_every_pair(self):
+        # the bit pairs (0,0), (0,1), (1,1), (1,0), as prbs15 gives them,
+        # map to QPSK in its order, bit for bit
+        s = qpsk_map(np.array([0, 0, 0, 1, 1, 1, 1, 0], dtype=np.uint8))
+        assert np.array_equal(s.view(np.uint64), QPSK.view(np.uint64))
+
     def test_odd_bit_count(self):
         with pytest.raises(ValueError):
             qpsk_map([0, 1, 0])

@@ -503,7 +503,7 @@ class TestPipeline:
         other = replace(cfg, tx_modes=("LP01", "LP11b"), rx_modes=("LP01", "LP11a", "LP21a", "LP02"))
         coupler = ModalCoupler(other)
         for r in range(cfg.realizations):
-            h = coupler.channel_matrix(realization_screen(cfg, r))
+            h = coupler.channel_matrix(coupler.coupling(realization_screen(cfg, r)))
             expected = build_channel(other, r)
             assert np.array_equal(h, expected)
 
@@ -564,6 +564,17 @@ class TestPipeline:
         rows = sweep_osnr(cfg)
         mmse = {r["osnr_db"]: r["ber_bound"] for r in rows if r["decoder"] == "mmse"}
         assert mmse[14.0] < mmse[8.0]
+
+    def test_genie_draws_no_laser_phase(self, monkeypatch):
+        # genie CSI propagates with phase=None (see test_channel's
+        # zero-phase test), so no Wiener walk is drawn
+        cfg = ExperimentConfig(**FAST, channel_kind="unitary", genie_csi=True, osnr_db=14.0)
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("a genie-CSI realization drew a laser phase")
+
+        monkeypatch.setattr(channel, "wiener_phase", drawn)
+        assert set(run_realization(cfg)) == set(cfg.decoders)
 
 
 class TestSharedWork:
@@ -658,7 +669,7 @@ class TestMemoryBudget:
     def test_run_realization(self):
         cfg = ExperimentConfig(n_frames=4)
         coupler = harness.ModalCoupler(cfg)
-        h = coupler.channel_matrix(realization_screen(cfg, 0))
+        h = coupler.channel_matrix(coupler.coupling(realization_screen(cfg, 0)))
         frame = harness.build_frames(cfg)
         del coupler
         assert traced_peak_mb(run_realization, cfg, 0, h=h, frame=frame) <= 28.0

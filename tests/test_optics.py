@@ -439,4 +439,5 @@ class TestCalibration:
         # mean over transmit modes of the calibrated blank column power
         m = coupler.blank_coupling * coupler.calibration_spatial[None, :]
         expected = np.mean(np.sum(np.abs(m) ** 2, axis=0))
-        assert coupler.captured_power(blank_screen()) == pytest.approx(expected, rel=1e-12)
+        power = coupler.captured_power(coupler.coupling(blank_screen()))
+        assert power == pytest.approx(expected, rel=1e-12)
